@@ -253,6 +253,7 @@ class Auditor {
       case EventType::kNodeFailure:
         on_failure(NodeFailureEvent::from(rec), line);
         break;
+      case EventType::kNodeRepair: on_repair(NodeRepairEvent::from(rec), line); break;
       case EventType::kJobKill: on_kill(JobKillEvent::from(rec), line); break;
       case EventType::kCheckpoint: on_checkpoint(CheckpointEvent::from(rec), line); break;
       case EventType::kJobFinish: on_finish(JobFinishEvent::from(rec), line); break;
@@ -605,9 +606,14 @@ class Auditor {
                 " running jobs hold node " + std::to_string(e.node));
       }
     }
-    if (e.down_for > 0.0 && !down_until_.empty()) {
+    if (!down_until_.empty()) {
       auto& until = down_until_[static_cast<std::size_t>(e.node)];
-      until = std::max(until, e.t + e.down_for);
+      // "down":true (live streams) holds the node down until its node_repair.
+      if (e.down) {
+        until = std::numeric_limits<double>::infinity();
+      } else if (e.down_for > 0.0) {
+        until = std::max(until, e.t + e.down_for);
+      }
     }
     fail_open_ = true;
     fail_node_ = e.node;
@@ -615,6 +621,24 @@ class Auditor {
     fail_victims_ = e.victims;
     fail_remaining_ = e.victims;
     fail_line_ = line;
+  }
+
+  /// node_repair ends a "down":true failure's open-ended down-time.
+  void on_repair(const NodeRepairEvent& e, std::size_t line) {
+    if (begin_ && (e.node < 0 || e.node >= begin_->nodes)) {
+      add(ViolationCode::kFieldMismatch, line, -1,
+          "repaired node " + std::to_string(e.node) + " out of range");
+      return;
+    }
+    if (down_until_.empty()) return;
+    auto& until = down_until_[static_cast<std::size_t>(e.node)];
+    if (until != std::numeric_limits<double>::infinity()) {
+      add(ViolationCode::kFieldMismatch, line, -1,
+          "node_repair of node " + std::to_string(e.node) +
+              ", which no \"down\":true node_failure holds down");
+      return;
+    }
+    until = e.t;
   }
 
   void on_checkpoint(const CheckpointEvent& e, std::size_t line) {

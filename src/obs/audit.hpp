@@ -18,6 +18,8 @@
 //                      agreement with the paired checkpoint event
 //   victims            node_failure.victims == following job_kill events,
 //                      each on a partition containing the failed node
+//   down overlay       down_for windows; a "down":true node_failure holds
+//                      its node down until the node_repair that must follow
 //   snapshots          machine_state queue/running/free/mfp/frag consistent
 //                      with the reconstructed machine state
 //   metrics            periodic metrics snapshots: gauges match the

@@ -35,6 +35,7 @@ enum class Counter : std::size_t {
   kSchedStarts,            ///< Jobs started (head-of-queue and backfill).
   kSchedBackfillStarts,    ///< Subset of starts placed by the backfill pass.
   kSchedMigrations,        ///< Migrations emitted by compaction.
+  kSchedRepacks,           ///< try_repack runs (attempts past the capacity bound).
   kPartitionsScanned,      ///< Catalog entries examined by free-list scans.
   kMfpEvaluations,         ///< mfp_with() evaluations by placement policies.
   kCandidatesConsidered,   ///< Free candidate partitions offered to policies.

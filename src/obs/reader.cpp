@@ -16,6 +16,7 @@ EventType event_type_from(std::string_view name) {
   if (name == "job_start") return EventType::kJobStart;
   if (name == "migration") return EventType::kMigration;
   if (name == "node_failure") return EventType::kNodeFailure;
+  if (name == "node_repair") return EventType::kNodeRepair;
   if (name == "job_kill") return EventType::kJobKill;
   if (name == "checkpoint") return EventType::kCheckpoint;
   if (name == "job_finish") return EventType::kJobFinish;
@@ -34,6 +35,7 @@ const char* to_string(EventType type) {
     case EventType::kJobStart: return "job_start";
     case EventType::kMigration: return "migration";
     case EventType::kNodeFailure: return "node_failure";
+    case EventType::kNodeRepair: return "node_repair";
     case EventType::kJobKill: return "job_kill";
     case EventType::kCheckpoint: return "checkpoint";
     case EventType::kJobFinish: return "job_finish";
@@ -402,6 +404,14 @@ NodeFailureEvent NodeFailureEvent::from(const TraceRecord& r) {
   e.node = static_cast<int>(r.require_int("node"));
   e.victims = static_cast<int>(r.require_int("victims"));
   e.down_for = r.require_num("down_for");
+  if (r.has("down")) e.down = r.require_bool("down");
+  return e;
+}
+
+NodeRepairEvent NodeRepairEvent::from(const TraceRecord& r) {
+  NodeRepairEvent e;
+  e.t = r.t();
+  e.node = static_cast<int>(r.require_int("node"));
   return e;
 }
 

@@ -36,6 +36,7 @@ enum class EventType {
   kJobStart,
   kMigration,
   kNodeFailure,
+  kNodeRepair,
   kJobKill,
   kCheckpoint,
   kJobFinish,
@@ -207,7 +208,14 @@ struct NodeFailureEvent {
   int node = -1;
   int victims = 0;
   double down_for = 0.0;
+  bool down = false;  ///< Optional: down until a node_repair (live streams).
   static NodeFailureEvent from(const TraceRecord& r);
+};
+
+struct NodeRepairEvent {
+  double t = 0.0;
+  int node = -1;
+  static NodeRepairEvent from(const TraceRecord& r);
 };
 
 struct JobKillEvent {

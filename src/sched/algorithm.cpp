@@ -190,6 +190,11 @@ bool SchedulingPass::try_migration(int alloc_size) {
   if (!config_->migration || migration_tried_ || s_->live.empty()) return false;
   obs::ScopedPhase span(obs_->profiler, obs::Phase::kMigration);
   migration_tried_ = true;
+  // Capacity bound: a re-pack moves live jobs but never frees a node (the
+  // live partitions are disjoint, so occupied_after keeps exactly |occ|
+  // nodes), hence with fewer free nodes than the head needs try_repack
+  // cannot succeed. Checked before the O(live x words) obstacle build.
+  if (catalog_->num_nodes() - s_->occ.count() < alloc_size) return false;
   // Occupancy that does not belong to any live job — failed nodes still
   // inside their downtime window — must survive the compaction intact.
   // try_repack rebuilds the occupancy from the re-placed jobs, so without
@@ -199,6 +204,7 @@ bool SchedulingPass::try_migration(int alloc_size) {
   for (const RunningJob& r : s_->live) {
     s_->obstacles.subtract(catalog_->entry(r.entry_index).mask);
   }
+  if (obs_->counters != nullptr) obs_->counters->add(obs::Counter::kSchedRepacks);
   auto repack = try_repack(*catalog_, s_->live, alloc_size, &s_->obstacles,
                            explain_arena_);
   if (!repack) return false;

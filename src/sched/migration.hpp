@@ -32,6 +32,13 @@ struct RepackResult {
 /// engine passes its per-decision arena); with nullptr they come from the
 /// heap, which is the pre-arena reference behaviour.
 /// Returns nullopt if the greedy packing fails or still leaves no room.
+///
+/// Capacity bound: a re-pack moves jobs but never frees a node, so when
+/// the machine has fewer free nodes than `head_alloc_size` the result is
+/// always nullopt. The engine (SchedulingPass::try_migration) checks that
+/// bound before calling here; this function deliberately does not, so the
+/// frozen reference loop in tests/sched_reference_diff_test.cpp, which
+/// calls it directly, stays an independent oracle for the bound.
 std::optional<RepackResult> try_repack(const PartitionCatalog& catalog,
                                        const std::vector<RunningJob>& running,
                                        int head_alloc_size,

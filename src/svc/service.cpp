@@ -603,12 +603,13 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
       torus_.allocations_containing(e.node);
   if (tr_ != nullptr) {
     // A live stream's down-time ends with an explicit repair event, not a
-    // duration known up front; down_for 0 keeps the auditor's reconstruction
-    // conservative (it never un-flags overlap checks early).
-    tr_->event("node_failure", e.time)
-        .field("node", e.node)
+    // duration known up front: down_for stays 0, and "down":true tells the
+    // auditor to hold the node down until the matching node_repair.
+    auto ev = tr_->event("node_failure", e.time);
+    ev.field("node", e.node)
         .field("victims", static_cast<std::int64_t>(victims.size()))
         .field("down_for", 0.0);
+    if (e.down) ev.field("down", true);
   }
   if (e.down) {
     down_.set(e.node);
@@ -637,6 +638,7 @@ void SchedulerService::on_repair(const Event& e, std::vector<Decision>& out,
   predictor_->advance(e.time);
   emit_snapshots_until(e.time);
   predictor_->observe_repair(e.node, e.time);
+  if (tr_ != nullptr) tr_->event("node_repair", e.time).field("node", e.node);
   down_.reset(e.node);
   // The node cannot be allocated while down, so releasing it in the index
   // exactly undoes the failure-time block.

@@ -23,8 +23,8 @@
 //
 // Tracing: with ServiceConfig::obs.trace attached the service emits the
 // standard JSONL schema (sim_begin lazily at the first event, job_submit /
-// sched_decision / job_start / migration / node_failure / job_kill /
-// job_finish, and sim_end from finish_stream()), auditable by
+// sched_decision / job_start / migration / node_failure / node_repair /
+// job_kill / job_finish, and sim_end from finish_stream()), auditable by
 // tools/trace_audit --strict. Differences from driver traces are documented
 // in docs/SERVICE.md (no checkpoint modelling, sim_begin jobs=0).
 #pragma once

@@ -1,7 +1,7 @@
-// Tests of the trace auditor (src/obs/audit.hpp): a clean trace from a real
-// simulation must pass, seeded corruptions must be caught with the right
-// violation code, and machine_state snapshots must be emitted without
-// perturbing the simulation.
+// Tests of the trace auditor (src/obs/audit.hpp): clean traces from a real
+// simulation and from the live service must pass, seeded corruptions must
+// be caught with the right violation code, and machine_state snapshots must
+// be emitted without perturbing the simulation.
 #include "obs/audit.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,8 @@
 
 #include "obs/trace.hpp"
 #include "sim/driver.hpp"
+#include "svc/server.hpp"
+#include "svc/service.hpp"
 #include "torus/catalog.hpp"
 
 namespace bgl {
@@ -385,6 +387,54 @@ TEST(TraceAudit, DetectsOutOfRangeForecastScores) {
   ASSERT_TRUE(corrupt_field(trace2, "\"type\":\"metrics\"", "pred_fn", "-3"));
   EXPECT_TRUE(has_code(audit_string(trace2), ViolationCode::kMetricsMismatch))
       << codes_of(audit_string(trace2));
+}
+
+/// A live-service trace with an open-ended down-time: "down":true failure
+/// of node 100 at t=10, its repair at t=50, and metrics every 20 s.
+std::string service_down_repair_trace() {
+  std::ostringstream out;
+  TraceSink sink(out);
+  svc::ServiceConfig config;
+  config.obs.trace = &sink;
+  config.metrics_interval = 20.0;
+  svc::SchedulerService service(config);
+  std::istringstream in(
+      "{\"type\":\"submit\",\"t\":0,\"job\":1,\"size\":4,"
+      "\"estimate\":100,\"runtime\":100}\n"
+      "{\"type\":\"fail\",\"t\":10,\"node\":100,\"down\":true}\n"
+      "{\"type\":\"repair\",\"t\":50,\"node\":100}\n"
+      "{\"type\":\"complete\",\"t\":100,\"job\":1}\n");
+  std::ostringstream replies;
+  svc::SessionOptions options;
+  options.flush_each = false;
+  svc::run_session(in, replies, service, options);
+  sink.flush();
+  return out.str();
+}
+
+TEST(TraceAudit, DownFailureHeldUntilRepairPassesStrict) {
+  AuditOptions opts;
+  opts.strict = true;
+  const AuditReport report = audit_string(service_down_repair_trace(), opts);
+  EXPECT_TRUE(report.ok()) << codes_of(report);
+}
+
+TEST(TraceAudit, DetectsDroppedNodeRepair) {
+  std::string trace = service_down_repair_trace();
+  const auto pos = trace.find("\"type\":\"node_repair\"");
+  ASSERT_NE(pos, std::string::npos);
+  const auto line_start = trace.rfind('\n', pos) + 1;
+  trace.erase(line_start, trace.find('\n', pos) - line_start + 1);
+  // Without the repair the node stays down through the later metrics.
+  EXPECT_TRUE(has_code(audit_string(trace), ViolationCode::kMetricsMismatch))
+      << codes_of(audit_string(trace));
+}
+
+TEST(TraceAudit, DetectsRepairOfANodeNotHeldDown) {
+  std::string trace = service_down_repair_trace();
+  ASSERT_TRUE(corrupt_field(trace, "\"type\":\"node_failure\"", "down", "false"));
+  const AuditReport report = audit_string(trace);
+  EXPECT_TRUE(has_code(report, ViolationCode::kFieldMismatch)) << codes_of(report);
 }
 
 TEST(TraceAudit, UnknownEventsTolerantByDefaultStrictOptIn) {

@@ -60,6 +60,7 @@ TEST(Counters, NamesAreUniqueAndStable) {
   // Spot-check the names docs and dashboards key on.
   EXPECT_EQ(counter_name(Counter::kSchedDecisionNanos), "sched.decision_ns");
   EXPECT_EQ(counter_name(Counter::kPartitionsScanned), "sched.partitions_scanned");
+  EXPECT_EQ(counter_name(Counter::kSchedRepacks), "sched.repacks");
 }
 
 TEST(Counters, JsonDumpContainsAllCountersAndDerived) {
@@ -67,6 +68,7 @@ TEST(Counters, JsonDumpContainsAllCountersAndDerived) {
   r.add(Counter::kSchedInvocations, 2);
   r.add(Counter::kSchedDecisionNanos, 10000);  // 5 us average
   r.add(Counter::kCandidatesConsidered, 6);
+  r.add(Counter::kSchedRepacks, 4);
   std::ostringstream out;
   r.write_json(out);
   const std::string json = out.str();
@@ -75,6 +77,7 @@ TEST(Counters, JsonDumpContainsAllCountersAndDerived) {
               std::string::npos);
   }
   EXPECT_NE(json.find("\"sched.invocations\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"sched.repacks\":4"), std::string::npos);
   EXPECT_NE(json.find("\"avg_decision_us\":5"), std::string::npos);
   EXPECT_NE(json.find("\"avg_candidates_per_decision\":3"), std::string::npos);
 }

@@ -92,6 +92,16 @@ TEST(PrometheusRender, CountersBecomeTotalFamilies) {
   EXPECT_TRUE(out.size() >= 6 && out.substr(out.size() - 6) == "# EOF\n");
 }
 
+TEST(PrometheusRender, RepackCounterIsExposed) {
+  obs::CounterRegistry counters;
+  counters.add(obs::Counter::kSchedRepacks, 3);
+  std::string out;
+  obs::prometheus_render(out, &counters, nullptr, nullptr);
+  EXPECT_NE(out.find("# TYPE bgl_sched_repacks_total counter\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("bgl_sched_repacks_total 3\n"), std::string::npos);
+}
+
 TEST(PrometheusRender, SingleSampleHistogramQuantilesAgree) {
   obs::HistogramRegistry histograms;
   histograms.add(obs::Hist::kDecisionUs, 100.0);

@@ -181,6 +181,27 @@ TEST(TypedEvents, JobStartDecodesAndValidates) {
   EXPECT_THROW(JobStartEvent::from(missing), ParseError);
 }
 
+TEST(TypedEvents, NodeFailureDownFlagIsOptionalAndRepairDecodes) {
+  const NodeFailureEvent timed = NodeFailureEvent::from(parse_one(
+      "{\"type\":\"node_failure\",\"t\":7,\"node\":3,\"victims\":1,"
+      "\"down_for\":600}"));
+  EXPECT_FALSE(timed.down);
+  EXPECT_DOUBLE_EQ(timed.down_for, 600.0);
+  const NodeFailureEvent held = NodeFailureEvent::from(parse_one(
+      "{\"type\":\"node_failure\",\"t\":7,\"node\":3,\"victims\":0,"
+      "\"down_for\":0,\"down\":true}"));
+  EXPECT_TRUE(held.down);
+
+  const auto rec = parse_one("{\"type\":\"node_repair\",\"t\":50,\"node\":3}");
+  EXPECT_EQ(rec.type(), EventType::kNodeRepair);
+  const NodeRepairEvent repair = NodeRepairEvent::from(rec);
+  EXPECT_DOUBLE_EQ(repair.t, 50.0);
+  EXPECT_EQ(repair.node, 3);
+  EXPECT_THROW(NodeRepairEvent::from(parse_one(
+                   "{\"type\":\"node_repair\",\"t\":50}")),
+               ParseError);
+}
+
 TEST(TypedEvents, MachineStateDecodes) {
   const auto rec = parse_one(
       "{\"type\":\"machine_state\",\"t\":100,\"queue_depth\":3,"

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 namespace bgl {
 namespace {
 
@@ -57,13 +60,15 @@ TEST(Migration, MigrationsOnlyListMovedJobs) {
 }
 
 TEST(Migration, NoOverlapAfterRepack) {
+  // 72 busy nodes leave 56 free: a 32-node head fits by count, and the
+  // greedy packing succeeds (moving all three jobs).
   const int a = entry_of_box(Box{Coord{0, 0, 1}, Triple{4, 4, 2}});
   const int b = entry_of_box(Box{Coord{0, 0, 5}, Triple{4, 4, 2}});
   const int c = entry_of_box(Box{Coord{0, 0, 3}, Triple{4, 2, 1}});
   const std::vector<RunningJob> running = {
       RunningJob{1, a, 10.0}, RunningJob{2, b, 20.0}, RunningJob{3, c, 30.0}};
-  const auto repack = try_repack(catalog(), running, 64);
-  if (!repack) GTEST_SKIP() << "greedy packing failed for this layout";
+  const auto repack = try_repack(catalog(), running, 32);
+  ASSERT_TRUE(repack.has_value());
   int total = 0;
   NodeSet unioned(128);
   for (const RunningJob& r : repack->running_after) {
@@ -109,6 +114,73 @@ TEST(Migration, ObstaclesSurviveRepackAndAreNeverPackedOver) {
   // even though the same layout without obstacles compacts (see
   // CompactionFreesSpaceForHead).
   EXPECT_FALSE(try_repack(catalog(), running, 64, &down).has_value());
+}
+
+// The capacity bound SchedulingPass::try_migration applies before calling
+// try_repack: a re-pack never frees a node, so when the machine has fewer
+// free nodes than the head needs, try_repack (which stays unbounded) must
+// fail on its own. Random non-overlapping running sets plus random
+// obstacles; both the head size just above the free count and a random
+// larger one are probed.
+void expect_capacity_bound(const PartitionCatalog& cat, std::uint64_t seed,
+                           int trials) {
+  std::vector<int> sizes;  // distinct entry sizes, descending
+  for (int i = 0; i < cat.num_entries(); ++i) {
+    if (sizes.empty() || sizes.back() != cat.entry(i).size) {
+      sizes.push_back(cat.entry(i).size);
+    }
+  }
+  std::mt19937_64 rng(seed);
+  const int n = cat.num_nodes();
+  int probed = 0;
+  for (int trial = 0; trial < trials; ++trial) {
+    NodeSet occ(n);
+    std::vector<RunningJob> running;
+    const int jobs = 1 + static_cast<int>(rng() % 10);
+    for (int k = 0; k < 4 * jobs && static_cast<int>(running.size()) < jobs;
+         ++k) {
+      std::vector<int> free;
+      cat.free_entries_of_size(occ, sizes[rng() % sizes.size()], free);
+      if (free.empty()) continue;
+      const int e = free[rng() % free.size()];
+      occ |= cat.entry(e).mask;
+      running.push_back(RunningJob{static_cast<std::uint64_t>(k), e,
+                                   static_cast<double>(rng() % 1000)});
+    }
+    NodeSet obstacles(n);
+    const int down = static_cast<int>(rng() % 8);
+    for (int k = 0; k < down; ++k) {
+      const int node = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+      if (!occ.test(node)) obstacles.set(node);
+    }
+    occ |= obstacles;
+    const int free_nodes = n - occ.count();
+
+    std::vector<int> too_big;
+    for (const int s : sizes) {
+      if (s > free_nodes) too_big.push_back(s);
+    }
+    if (too_big.empty()) continue;
+    for (const int head : {too_big.back(), too_big[rng() % too_big.size()]}) {
+      ++probed;
+      EXPECT_FALSE(try_repack(cat, running, head, &obstacles).has_value())
+          << "seed " << seed << " trial " << trial << ": " << free_nodes
+          << " free nodes, head " << head;
+    }
+  }
+  EXPECT_GE(probed, trials);  // the generator must exercise the bound
+}
+
+TEST(Migration, RepackNeverSucceedsWithFewerFreeNodesThanTheHead) {
+  expect_capacity_bound(catalog(), 11, 150);
+}
+
+TEST(Migration, CapacityBoundHoldsOnTheBlockCatalog) {
+  CatalogOptions options;
+  options.mode = CatalogOptions::Mode::kBlocks;
+  options.min_block = 8;
+  const PartitionCatalog blocks(Dims{8, 8, 8}, Topology::kTorus, options);
+  expect_capacity_bound(blocks, 12, 300);
 }
 
 TEST(Migration, EmptyRunningSetTrivial) {

@@ -5,6 +5,8 @@
 #include <sstream>
 
 #include "failure/trace.hpp"
+#include "obs/counters.hpp"
+#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "torus/index.hpp"
 
@@ -171,6 +173,47 @@ TEST(Scheduler, MigrationCompactsForBlockedHead) {
     // applied below via running_after reconstruction
     (void)m;
   }
+}
+
+TEST(Scheduler, MigrationSkipsRepackWhenHeadCannotFitByCount) {
+  NullPredictor predictor(128);
+  SchedulerConfig config;
+  config.backfill = BackfillMode::kNone;
+  config.migration = true;
+  auto sched = make_krevat_scheduler(catalog(), predictor, config);
+  obs::PhaseProfiler profiler;
+  obs::CounterRegistry counters;
+  obs::Observer observer;
+  observer.profiler = &profiler;
+  observer.counters = &counters;
+  sched->set_observer(observer);
+
+  // 72 busy nodes leave 56 free: no re-pack can make room for 64.
+  const std::vector<RunningJob> full = {
+      RunningJob{10, entry_of_box(Box{Coord{0, 0, 1}, Triple{4, 4, 2}}), 100.0},
+      RunningJob{11, entry_of_box(Box{Coord{0, 0, 5}, Triple{4, 4, 2}}), 200.0},
+      RunningJob{12, entry_of_box(Box{Coord{0, 0, 3}, Triple{4, 2, 1}}), 300.0}};
+  const std::vector<WaitingJob> queue = {WaitingJob{0, 64, 64, 300.0}};
+  for (int pass = 1; pass <= 3; ++pass) {
+    const auto decision = sched->schedule(0.0, queue, full, occ_of(full));
+    EXPECT_TRUE(decision.starts.empty());
+    EXPECT_TRUE(decision.migrations.empty());
+    // Every pass still records its one attempt in the sched.migration span...
+    EXPECT_EQ(profiler.count(obs::Phase::kMigration),
+              static_cast<std::uint64_t>(pass));
+  }
+  // ...but the bound kept try_repack from running at all.
+  EXPECT_EQ(counters.value(obs::Counter::kSchedRepacks), 0u);
+  EXPECT_EQ(counters.value(obs::Counter::kSchedMigrations), 0u);
+
+  // 64 busy nodes in two slabs: the head fits by count, so the repack runs.
+  const std::vector<RunningJob> split = {
+      RunningJob{10, entry_of_box(Box{Coord{0, 0, 0}, Triple{4, 4, 2}}), 100.0},
+      RunningJob{11, entry_of_box(Box{Coord{0, 0, 4}, Triple{4, 4, 2}}), 200.0}};
+  const auto decision = sched->schedule(0.0, queue, split, occ_of(split));
+  EXPECT_EQ(decision.starts.size(), 1u);
+  EXPECT_EQ(profiler.count(obs::Phase::kMigration), 4u);
+  EXPECT_EQ(counters.value(obs::Counter::kSchedRepacks), 1u);
 }
 
 TEST(Scheduler, MigrationDisabledLeavesHeadBlocked) {

@@ -359,6 +359,60 @@ TEST(SvcService, EmittedTracePassesStrictAudit) {
   EXPECT_EQ(report.jobs, report.jobs);  // parsed
 }
 
+TEST(SvcService, DownRepairStreamWithMetricsPassesStrictAudit) {
+  // A down failure and its repair inside metrics windows: the trace must
+  // carry both ends of the down-time so the auditor can rebuild down_nodes.
+  std::ostringstream trace_out;
+  obs::TraceSink sink(trace_out);
+  ServiceConfig config;
+  config.obs.trace = &sink;
+  config.metrics_interval = 20.0;
+  SchedulerService service(config);
+  std::istringstream in(
+      "{\"type\":\"submit\",\"t\":0,\"job\":1,\"size\":4,"
+      "\"estimate\":100,\"runtime\":100}\n"
+      "{\"type\":\"fail\",\"t\":10,\"node\":100,\"down\":true}\n"
+      "{\"type\":\"repair\",\"t\":50,\"node\":100}\n"
+      "{\"type\":\"complete\",\"t\":100,\"job\":1}\n");
+  std::ostringstream replies;
+  SessionOptions options;
+  options.flush_each = false;
+  const SessionStats stats = run_session(in, replies, service, options);
+  ASSERT_EQ(stats.rejected, 0u);
+  sink.flush();
+
+  const std::string trace = trace_out.str();
+  EXPECT_NE(trace.find("\"type\":\"node_failure\""), std::string::npos);
+  EXPECT_NE(trace.find("\"down\":true"), std::string::npos);
+  EXPECT_NE(trace.find("{\"type\":\"node_repair\",\"t\":50,"), std::string::npos);
+  EXPECT_NE(trace.find("\"down_nodes\":1"), std::string::npos);
+
+  std::istringstream trace_in(trace);
+  obs::AuditOptions audit;
+  audit.strict = true;
+  const obs::AuditReport report = obs::audit_trace(trace_in, audit);
+  EXPECT_TRUE(report.ok()) << [&] {
+    std::ostringstream s;
+    report.write_json(s);
+    return s.str();
+  }();
+}
+
+TEST(SvcService, TransientFailureTraceCarriesNoDownFlag) {
+  std::ostringstream trace_out;
+  obs::TraceSink sink(trace_out);
+  ServiceConfig config;
+  config.obs.trace = &sink;
+  SchedulerService service(config);
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 1, 4, 100.0), out);
+  service.handle(fail(10.0, 100), out);
+  sink.flush();
+  const std::string trace = trace_out.str();
+  EXPECT_NE(trace.find("\"type\":\"node_failure\""), std::string::npos);
+  EXPECT_EQ(trace.find("\"down\""), std::string::npos);
+}
+
 TEST(SvcService, OracleModelsWithoutATraceRaiseTypedError) {
   for (const PredictorModel model :
        {PredictorModel::kPerfect, PredictorModel::kHistory}) {
