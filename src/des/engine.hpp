@@ -1,7 +1,7 @@
 // Generic dispatch loop over an EventQueue.
 //
-// The production simulator (src/sim/driver.cpp) runs its own tight loop; the
-// Engine exists for examples, tests and user code that wants a callback-based
+// The production simulator (run_simulation, src/svc/sim_adapter.cpp) runs
+// its own tight loop; the Engine exists for examples, tests and user code that wants a callback-based
 // interface without writing the loop by hand.
 #pragma once
 

@@ -57,7 +57,6 @@ void run_unit(const SweepSpec& spec, const Cell& cell, int repeat,
   if (cell.predictor) config.predictor_model = *cell.predictor;
   config.alpha = cell.alpha;
   config.seed = seeds.sim;
-  apply_partition_index_env(config);
   // Each unit records into its own registries; any observer the prototype
   // carried is dropped (a shared TraceSink or registry would race).
   config.obs = obs::Observer{};

@@ -809,8 +809,8 @@ class Auditor {
       const NodeSet* m = entry_mask(jobs_.at(id).entry);
       if (m != nullptr) occ |= *m;
     }
-    // A snapshot can land exactly on a down-node expiry; the driver may
-    // emit it on either side of the expiry event, so accept both readings.
+    // A snapshot can land exactly on a down-node expiry; the service may
+    // emit it on either side of the repair event, so accept both readings.
     const double eps = 1e-6 + 1e-9 * std::abs(e.t);
     bool matched = false;
     std::string got;

@@ -49,7 +49,7 @@ enum class Counter : std::size_t {
   kPredWindowTruePositives,  ///< Flagged nodes that did fail in the window.
   kPredWindowFalsePositives, ///< Flagged nodes that did not fail.
   kPredWindowFalseNegatives, ///< Failing nodes the forecast missed.
-  // Driver lifecycle.
+  // Simulator (run_simulation) lifecycle.
   kDriverEvents,           ///< Discrete events popped from the event queue.
   kDriverFailures,         ///< Node-failure events processed.
   kDriverKills,            ///< Jobs killed (and requeued) by failures.

@@ -5,7 +5,7 @@
 //   {"type":"job_start","t":86423.5,"wall_us":1042,"job":17,"entry":311,...}
 //
 // Every event carries the event type, the simulation timestamp `t` (seconds,
-// the driver's clock) and `wall_us` (microseconds of monotonic wall time
+// the clock driving the scheduler) and `wall_us` (microseconds of monotonic wall time
 // since the sink was created) so a reader can separate simulated-time
 // ordering from where the simulator itself spends real time. The full event
 // schema — every type, field, and unit — is documented in
@@ -23,8 +23,8 @@
 // reader parses back is bit-identical to the one the simulator held — the
 // earlier '%.10g' formatting lost low-order bits at large sim times, letting
 // trace_audit's re-derived metrics drift from the in-memory values. The sink
-// tracks the largest sim time seen (max_sim_time) so tests and the driver
-// can assert monotonicity cheaply.
+// tracks the largest sim time seen (max_sim_time) so tests and callers can
+// assert monotonicity cheaply.
 #pragma once
 
 #include <cstdint>

@@ -79,11 +79,7 @@ double AdaptivePredictor::window_multiplier(int node, double t) const {
   return mult;
 }
 
-void AdaptivePredictor::observe_failure(int node, double t, double down_for) {
-  // `down_for` is advisory and deliberately unused: the simulator knows the
-  // configured downtime while the live protocol does not, and the hazard
-  // state must be identical under both clock owners (differential test).
-  (void)down_for;
+void AdaptivePredictor::observe_failure(int node, double t) {
   if (node < 0 || node >= num_nodes_) return;
   ++failures_seen_;
 

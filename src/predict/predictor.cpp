@@ -146,7 +146,7 @@ PredictionQuality evaluate_predictor_online(FaultPredictor& predictor,
   std::uint64_t key = 0;
   for (double t = t_begin; t + window <= t_end; t += step, ++key) {
     while (fed < events.size() && events[fed].time <= t) {
-      predictor.observe_failure(events[fed].node, events[fed].time, 0.0);
+      predictor.observe_failure(events[fed].node, events[fed].time);
       ++fed;
     }
     predictor.advance(t);

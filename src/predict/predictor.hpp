@@ -37,30 +37,26 @@ class FaultPredictor {
 
   // --- observation interface (event-fed lifecycle) -----------------------
   //
-  // The clock owner (sim/driver or svc/SchedulerService) feeds the predictor
-  // the failure stream as it unfolds: observe_failure() at every node
-  // failure, observe_repair() when a down node returns, and advance() at
-  // every event so time-based state (flag expiry) can retire. The paper's
-  // oracle predictors answer from the ground-truth trace and ignore all
-  // three (the no-op defaults below keep every pre-seam trace and golden CSV
-  // byte-identical); learned predictors (AdaptivePredictor) build their
+  // The clock owner feeds the predictor the failure stream as it unfolds;
+  // in every frontend that is svc/SchedulerService, whether the event came
+  // from the discrete-event simulator or a live stream: observe_failure()
+  // at every node failure, observe_repair() when a down node returns, and
+  // advance() at every accepted event so time-based state (flag expiry) can
+  // retire. The paper's oracle predictors answer from the ground-truth
+  // trace and ignore all three (the no-op defaults below keep every golden
+  // CSV byte-identical); learned predictors (AdaptivePredictor) build their
   // entire state from these calls and never see the future.
   //
-  // Contract for implementers, enforced by the driver-vs-service
-  // differential test: advance(t) must be monotone and idempotent —
+  // Contract for implementers: advance(t) must be monotone and idempotent —
   // advance(a); advance(b) with a <= b must leave the same state as
-  // advance(b) alone — because the simulator calls it on stale events that
-  // the service-side adapter filters out. Queries must not mutate state
-  // (they are re-asked within one scheduling pass), and `down_for` is
-  // advisory only: the live protocol has no up-front down-time, so the
-  // service always passes 0 where the simulator passes the configured
-  // downtime.
+  // advance(b) alone — because callers advance at whatever event times they
+  // happen to see (evaluate_predictor_online steps on a fixed grid, the
+  // service on stream events). Queries must not mutate state: they are
+  // re-asked within one scheduling pass.
 
-  /// A node failed at time `t`; it will be unschedulable for `down_for`
-  /// seconds (0 = transient / unknown, see contract above).
-  virtual void observe_failure(int node, double t, double down_for) {
-    (void)node, (void)t, (void)down_for;
-  }
+  /// A node failed at time `t`. How long it stays down is not known up
+  /// front: a down node's return arrives as observe_repair().
+  virtual void observe_failure(int node, double t) { (void)node, (void)t; }
 
   /// A down node came back at time `t`.
   virtual void observe_repair(int node, double t) { (void)node, (void)t; }

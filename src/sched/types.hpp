@@ -60,7 +60,7 @@ struct PlacementRecord {
   /// The binding reservation this backfill placement was admitted against
   /// (the earliest-queued blocked job's). Recorded only by the
   /// reservation-carrying algorithms; res_entry stays -1 for head starts
-  /// and for the krevat baseline, and the driver then omits the trace
+  /// and for the krevat baseline, and the service then omits the trace
   /// fields so pre-seam traces remain byte-identical.
   double res_time = -1.0;
   int res_entry = -1;
@@ -89,7 +89,7 @@ struct SchedulingDecision {
   std::vector<Migration> migrations;  ///< Applied before the starts.
   std::vector<Start> starts;
 
-  // Placement diagnostics (filled by the engine, aggregated by the driver).
+  // Placement diagnostics (filled by the engine, aggregated by the service).
   int starts_on_flagged = 0;       ///< Chosen partition contained a flagged node.
   int flagged_with_alternative = 0;  ///< ... although a flag-free candidate existed.
 

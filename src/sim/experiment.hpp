@@ -53,7 +53,8 @@ struct ExperimentInputs {
 /// workload's span, or loaded). Deterministic.
 ExperimentInputs prepare_inputs(const ExperimentSpec& spec);
 
-/// prepare_inputs + run_simulation.
+/// prepare_inputs + run_simulation (defined with run_simulation in
+/// svc/sim_adapter.cpp).
 SimResult run_experiment(const ExperimentSpec& spec,
                          const PartitionCatalog* shared_catalog = nullptr);
 
@@ -74,10 +75,5 @@ std::size_t span_scaled_events(std::size_t nominal, double span_seconds,
 /// zero, negative, or non-numeric text) — a mis-typed scale must fail the
 /// run, not silently produce full-size results.
 double apply_job_scale_env(SyntheticModel& model);
-
-/// Apply the BGL_USE_PARTITION_INDEX environment A/B switch (`0` selects
-/// the scan-based reference path) to `config`. Shared by run_experiment()
-/// and the sweep engine so every experiment surface honours the knob.
-void apply_partition_index_env(SimConfig& config);
 
 }  // namespace bgl

@@ -73,7 +73,7 @@ ReplayValidation validate_replay(const std::vector<ReplayEvent>& events,
       }
       case ReplayEventType::kMigration: {
         // Migrations of one scheduling pass may rotate jobs through one
-        // another's partitions; the driver applies them release-first. Treat
+        // another's partitions; the service applies them release-first. Treat
         // the maximal run of consecutive same-timestamp migrations as one
         // atomic group: release every source, then claim every target.
         std::size_t group_end = i;

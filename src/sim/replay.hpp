@@ -1,11 +1,12 @@
 // Structured replay log of a simulation run.
 //
-// When SimConfig::record_replay is set, the driver appends one ReplayEvent
+// When SimConfig::record_replay is set, run_simulation appends one ReplayEvent
 // per state transition (arrival, start, finish, kill, migration, node
 // failure). The log supports three uses:
 //   * offline validation — validate_replay() re-checks the §3.3 invariants
 //     (no overlapping placements, starts only of waiting jobs, releases
-//     matching allocations) independently of the driver's own bookkeeping;
+//     matching allocations) independently of the scheduler's own
+//     bookkeeping;
 //   * debugging and visualisation — write_replay_csv() emits a flat file
 //     that plots as a Gantt chart of the torus;
 //   * regression diffing — two runs of the same configuration must produce

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 
 #include "obs/counters.hpp"
@@ -19,8 +20,8 @@ namespace bgl::svc {
 
 namespace {
 
-/// Same cap as the driver: the scheduler can start at most num_nodes jobs
-/// per pass plus examine backfill_depth fillers.
+/// Queue jobs the scheduler actually needs to see: it can start at most
+/// num_nodes jobs per pass plus examine backfill_depth fillers.
 constexpr std::size_t kQueueViewCap = 512;
 
 }  // namespace
@@ -84,14 +85,14 @@ void SchedulerService::build_scheduler(const FailureTrace* oracle) {
 }
 
 NodeSet SchedulerService::scheduling_occupancy() const {
-  if (down_.empty()) return torus_.occupied();
+  if (down_count_ == 0) return torus_.occupied();
   NodeSet occ = torus_.occupied();
   occ |= down_;
   return occ;
 }
 
 int SchedulerService::usable_free_nodes() const {
-  if (down_.empty()) return torus_.free_nodes();
+  if (down_count_ == 0) return torus_.free_nodes();
   NodeSet busy = torus_.occupied();
   busy |= down_;
   return catalog_->num_nodes() - busy.count();
@@ -126,19 +127,23 @@ void SchedulerService::ensure_begin(double t) {
       .field("alpha", config_.alpha)
       .field("backfill", to_string(config_.sched.backfill))
       .field("migration", config_.sched.migration)
-      // A live stream has no job/failure census up front; 0 marks "unknown"
-      // (the auditor counts submits itself and never reads these back).
-      .field("jobs", static_cast<std::int64_t>(0))
-      .field("failure_events", static_cast<std::int64_t>(0));
+      // 0 = "unknown" unless the clock announced a census (the auditor
+      // counts submits itself and never reads these back).
+      .field("jobs", census_.jobs)
+      .field("failure_events", census_.failure_events);
+  // Scale-up knobs are emitted only when they deviate from the defaults.
   if (catalog_->options().mode != CatalogOptions::Mode::kBoxes) {
     begin.field("catalog", to_string(catalog_->options().mode))
         .field("min_block", catalog_->options().min_block);
   }
+  if (!census_.event_queue.empty()) {
+    begin.field("event_queue", census_.event_queue);
+  }
   if (config_.sched.algorithm != SchedAlgorithm::kKrevat) {
     begin.field("algorithm", to_string(config_.sched.algorithm));
   }
-  // Adaptive-predictor provenance, mirroring the driver (and checked by the
-  // strict auditor's predictor_mismatch invariant).
+  // Adaptive-predictor provenance (checked by the strict auditor's
+  // predictor_mismatch invariant).
   if (config_.predictor_model == PredictorModel::kAdaptive) {
     begin.field("flag_window", config_.adaptive.node_flag_window)
         .field("burst_window", config_.adaptive.burst_window);
@@ -164,9 +169,7 @@ void SchedulerService::emit_snapshots_until(double horizon) {
 
 void SchedulerService::emit_machine_state(double t) {
   int queued_nodes = 0;
-  for (const std::uint64_t id : queue_) {
-    queued_nodes += jobs_.find(id)->second.size;
-  }
+  for (const JobRec* j : queue_) queued_nodes += j->size;
   const NodeSet occ = scheduling_occupancy();
   const int mfp = index_ != nullptr ? index_->mfp() : catalog_->mfp(occ);
   const int free = usable_free_nodes();
@@ -181,14 +184,15 @@ void SchedulerService::emit_machine_state(double t) {
       .field("queued_nodes", queued_nodes)
       .field("running_jobs", static_cast<std::int64_t>(running_.size()))
       .field("free_nodes", free)
-      .field("down_nodes", down_.count())
+      .field("down_nodes", down_count_)
       .field("mfp", mfp)
       .field("frag", frag)
       .field("flagged_nodes", flagged);
 }
 
 void SchedulerService::emit_metrics(double t) {
-  // Score the closing window's forecast first (mirrors sim/driver).
+  // Score the closing window's forecast against realized failures before
+  // anything is emitted, then re-capture for the next window below.
   std::int64_t pred_tp = 0, pred_fp = 0, pred_fn = 0;
   if (pred_armed_) {
     pred_tp = pred_flagged_.intersect_count(pred_failed_);
@@ -207,9 +211,10 @@ void SchedulerService::emit_metrics(double t) {
 
   if (tr_ != nullptr) {
     int queued_nodes = 0;
-    for (const std::uint64_t id : queue_) {
-      queued_nodes += jobs_.find(id)->second.size;
-    }
+    for (const JobRec* j : queue_) queued_nodes += j->size;
+    // busy = nodes held by running jobs: exactly the union of live
+    // allocation masks (down nodes sit in a separate overlay), which is
+    // what the auditor recomputes from the stream.
     const int busy = torus_.occupied().count();
     const int nodes = catalog_->num_nodes();
     const double interval = t - last_metrics_t_;
@@ -225,7 +230,7 @@ void SchedulerService::emit_metrics(double t) {
         .field("queued_nodes", queued_nodes)
         .field("running_jobs", static_cast<std::int64_t>(running_.size()))
         .field("busy_nodes", busy)
-        .field("down_nodes", down_.count())
+        .field("down_nodes", down_count_)
         .field("utilization",
                nodes > 0 ? static_cast<double>(busy) / static_cast<double>(nodes)
                          : 0.0)
@@ -261,8 +266,7 @@ void SchedulerService::emit_metrics(double t) {
 
 /// §6.1 capacity integral, driven by the event stream: starts at the first
 /// submit (the workload's min arrival — the stream is time-ordered) and
-/// advances *before* each event's mutations, exactly like the driver's
-/// advance-then-mutate discipline.
+/// advances *before* each event's mutations.
 void SchedulerService::advance_integrator(const Event& event) {
   if (!integrator_started_) {
     if (event.kind != EventKind::kSubmit) return;
@@ -275,12 +279,23 @@ void SchedulerService::advance_integrator(const Event& event) {
   if (event.time >= integrator_t0_) integrator_.advance(event.time);
 }
 
+SchedulerService::JobRec* SchedulerService::find(std::uint64_t id) {
+  const auto it = jobs_.find(id);
+  return it == jobs_.end() ? nullptr : &it->second;
+}
+
+double SchedulerService::remaining_work(std::uint64_t job) const {
+  const auto it = jobs_.find(job);
+  BGL_CHECK(it != jobs_.end(), "remaining_work of an unknown job");
+  return it->second.remaining_work;
+}
+
 void SchedulerService::enqueue(JobRec& job) {
   job.phase = Phase::kWaiting;
   job.entry = -1;
-  auto priority = [&](std::uint64_t a, std::uint64_t b) {
-    const JobRec& ja = jobs_.find(a)->second;
-    const JobRec& jb = jobs_.find(b)->second;
+  auto priority = [&](const JobRec* a, const JobRec* b) {
+    const JobRec& ja = *a;
+    const JobRec& jb = *b;
     switch (config_.queue_order) {
       case QueueOrder::kShortestJobFirst:
         if (ja.estimate != jb.estimate) return ja.estimate < jb.estimate;
@@ -294,8 +309,10 @@ void SchedulerService::enqueue(JobRec& job) {
     if (ja.arrival != jb.arrival) return ja.arrival < jb.arrival;
     return ja.id < jb.id;
   };
-  const auto pos = std::lower_bound(queue_.begin(), queue_.end(), job.id, priority);
-  queue_.insert(pos, job.id);
+  const auto pos = std::lower_bound(queue_.begin(), queue_.end(), &job, priority);
+  queue_.insert(pos, &job);
+  // §6.1: q(t) counts the nodes *requested* by waiting jobs (s_j, not the
+  // rounded-up allocation size).
   queued_demand_ += job.size;
   integrator_.add_queued(job.size);
 }
@@ -303,27 +320,31 @@ void SchedulerService::enqueue(JobRec& job) {
 void SchedulerService::release_allocation(JobRec& job) {
   index_release(catalog_->entry(job.entry).mask);
   torus_.release(job.id);
-  const auto rpos = std::find(running_.begin(), running_.end(), job.id);
+  const auto rpos = std::find(running_.begin(), running_.end(), &job);
   BGL_CHECK(rpos != running_.end(), "job missing from running set");
   *rpos = running_.back();
   running_.pop_back();
 }
 
 void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
+  // Scheduler-facing ids are the submitted job ids: id-salted predictors
+  // (the tie-breaking coins) key their draws on them.
   std::vector<WaitingJob> waiting;
   waiting.reserve(std::min(queue_.size(), kQueueViewCap));
   for (std::size_t i = 0; i < queue_.size() && i < kQueueViewCap; ++i) {
-    const JobRec& j = jobs_.find(queue_[i])->second;
-    waiting.push_back(WaitingJob{j.id, j.size, j.alloc_size, j.estimate});
+    const JobRec& j = *queue_[i];
+    waiting.push_back(WaitingJob{j.id, j.size, catalog_->allocatable_size(j.size),
+                                 j.estimate});
   }
   std::vector<RunningJob> running;
   running.reserve(running_.size());
-  for (const std::uint64_t id : running_) {
-    const JobRec& j = jobs_.find(id)->second;
-    running.push_back(RunningJob{j.id, j.entry, j.last_start + j.estimate});
+  for (const JobRec* j : running_) {
+    running.push_back(RunningJob{j->id, j->entry, j->last_start + j->estimate});
   }
 
   const NodeSet occ = scheduling_occupancy();
+  // Wall-clock pass latency feeds the metrics window (p50/p99/max per
+  // interval); the clock is read only when metrics emission is on.
   std::chrono::steady_clock::time_point m_begin;
   if (decision_ring_ != nullptr) m_begin = std::chrono::steady_clock::now();
   const SchedulingDecision decision =
@@ -345,18 +366,20 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     }
   }
 
-  // Migrations first, in two phases (movers may rotate partitions).
+  // Apply migrations first, in two phases: jobs may rotate into one
+  // another's old partitions, so every mover must release before any
+  // re-allocates.
   for (const Migration& m : decision.migrations) {
-    auto it = jobs_.find(m.id);
-    BGL_CHECK(it != jobs_.end(), "migration refers to unknown job");
-    BGL_CHECK(it->second.phase == Phase::kRunning, "migrating a non-running job");
+    const JobRec* j = find(m.id);
+    BGL_CHECK(j != nullptr, "migration refers to unknown job");
+    BGL_CHECK(j->phase == Phase::kRunning, "migrating a non-running job");
     index_release(catalog_->entry(torus_.entry_of(m.id)).mask);
     torus_.release(m.id);
   }
   for (const Migration& m : decision.migrations) {
     torus_.allocate(m.id, m.to_entry);
     index_occupy(catalog_->entry(m.to_entry).mask);
-    JobRec& j = jobs_.find(m.id)->second;
+    JobRec& j = *find(m.id);
     j.entry = m.to_entry;
     ++stats_.migrations;
     ++m_migrations_;
@@ -375,17 +398,21 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     out.push_back(d);
   }
 
+  // When tracing, starts and placement records were appended pairwise by
+  // the engine, so placements[i] explains starts[i]. A compaction in the
+  // same pass rewrites both the pending start and its audit record, so the
+  // traced entry is always the partition actually committed below.
   BGL_CHECK(tr_ == nullptr || decision.placements.size() == decision.starts.size(),
             "placement audit records out of sync with starts");
 
   for (std::size_t start_i = 0; start_i < decision.starts.size(); ++start_i) {
     const Start& start = decision.starts[start_i];
-    auto it = jobs_.find(start.id);
-    BGL_CHECK(it != jobs_.end(), "start refers to unknown job");
-    JobRec& j = it->second;
+    JobRec* const job = find(start.id);
+    BGL_CHECK(job != nullptr, "start refers to unknown job");
+    JobRec& j = *job;
     BGL_CHECK(j.phase == Phase::kWaiting, "starting a non-waiting job");
 
-    const auto qpos = std::find(queue_.begin(), queue_.end(), j.id);
+    const auto qpos = std::find(queue_.begin(), queue_.end(), job);
     BGL_CHECK(qpos != queue_.end(), "started job missing from queue");
     queue_.erase(qpos);
     queued_demand_ -= j.size;
@@ -397,7 +424,7 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     j.phase = Phase::kRunning;
     j.last_start = now;
     if (j.first_start < 0.0) j.first_start = now;
-    running_.push_back(j.id);
+    running_.push_back(job);
     ++stats_.starts;
     ++m_starts_;
 
@@ -415,6 +442,8 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
             .field("mfp_after", p.mfp_after)
             .field("flags_in_chosen", p.flags_in_chosen)
             .field("backfill", p.backfill);
+        // Reservation provenance exists only on backfill placements made by
+        // the reservation-carrying algorithms (easy/conservative/holdback).
         if (p.res_entry >= 0) {
           ev.field("res_time", p.res_time).field("res_entry", p.res_entry);
         }
@@ -422,7 +451,7 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
       tr_->event("job_start", now)
           .field("job", j.id)
           .field("entry", start.entry_index)
-          .field("alloc_size", j.alloc_size)
+          .field("alloc_size", catalog_->allocatable_size(j.size))
           .field("wait_so_far", now - j.arrival)
           .field("restarts", j.restarts);
     }
@@ -446,11 +475,29 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
 
 void SchedulerService::kill_job(JobRec& job, double now, int node,
                                 std::vector<Decision>& out) {
+  const double size = static_cast<double>(job.size);
   const double elapsed = now - job.last_start;
-  // The service models no checkpointing: everything since the (re)start is
-  // lost. The sim adapter does its own checkpoint-aware accounting.
-  const double lost = std::max(0.0, elapsed) * static_cast<double>(job.size);
-  stats_.work_lost_node_seconds += lost;
+  // The job restarts from its last completed checkpoint (all work is lost
+  // when checkpointing is off). Work fields are node-seconds throughout the
+  // trace (schema: docs/OBSERVABILITY.md), so per-node work scales by size.
+  const double saved = saved_work_at(elapsed, job.remaining_work, config_.ckpt);
+  if (config_.ckpt.enabled) {
+    const std::size_t taken =
+        static_cast<std::size_t>(checkpoint_count(saved, config_.ckpt)) +
+        (saved > 0.0 ? 1u : 0u);
+    stats_.checkpoints += taken;
+    if (tr_ != nullptr && taken > 0) {
+      tr_->event("checkpoint", now)
+          .field("job", job.id)
+          .field("count", static_cast<std::int64_t>(taken))
+          .field("work_saved", saved * size);
+    }
+  }
+  const double wasted =
+      std::max(0.0, std::min(elapsed, job.remaining_work) - saved);
+  stats_.work_lost_node_seconds += wasted * size;
+  job.remaining_work -= saved;
+  if (saved > 0.0) job.remaining_work += config_.ckpt.restart_overhead;
   ++job.restarts;
   ++stats_.kills;
   ++m_kills_;
@@ -460,8 +507,8 @@ void SchedulerService::kill_job(JobRec& job, double now, int node,
         .field("job", job.id)
         .field("entry", job.entry)
         .field("elapsed", elapsed)
-        .field("work_lost", lost)
-        .field("work_saved", 0.0)
+        .field("work_lost", wasted * size)
+        .field("work_saved", saved * size)
         .field("restarts", job.restarts);
   }
 
@@ -492,6 +539,10 @@ void SchedulerService::on_submit(const Event& e, std::vector<Decision>& out,
   if (e.estimate < 0.0) {
     throw ProtocolError(RejectCode::kBadValue, line, "estimate must be >= 0");
   }
+  if (config_.ckpt.enabled && e.runtime < 0.0) {
+    throw ProtocolError(RejectCode::kBadField, line,
+                        "checkpointing needs the job's runtime");
+  }
   const int alloc = catalog_->allocatable_size(e.size);
   if (alloc <= 0) {
     throw ProtocolError(RejectCode::kNoPartition, line,
@@ -504,14 +555,14 @@ void SchedulerService::on_submit(const Event& e, std::vector<Decision>& out,
   ensure_begin(e.time);
   emit_snapshots_until(e.time);
   ++m_submits_;
-  JobRec rec;
-  rec.id = e.job;
-  rec.size = e.size;
-  rec.alloc_size = alloc;
-  rec.arrival = e.time;
-  rec.estimate = e.estimate;
-  rec.runtime = e.runtime;
-  JobRec& job = jobs_.emplace(e.job, rec).first->second;
+  JobRec& job = jobs_[e.job];
+  job.id = e.job;
+  job.size = e.size;
+  job.arrival = e.time;
+  job.estimate = e.estimate;
+  job.runtime = e.runtime;
+  job.remaining_work =
+      e.runtime >= 0.0 ? e.runtime : std::numeric_limits<double>::infinity();
   enqueue(job);
   ++stats_.submitted;
   min_submit_ = std::min(min_submit_, e.time);
@@ -523,7 +574,7 @@ void SchedulerService::on_submit(const Event& e, std::vector<Decision>& out,
     tr_->event("job_submit", e.time)
         .field("job", job.id)
         .field("size", job.size)
-        .field("alloc_size", job.alloc_size)
+        .field("alloc_size", alloc)
         .field("estimate", job.estimate)
         .field("runtime", std::max(job.runtime, 0.0));
   }
@@ -532,12 +583,12 @@ void SchedulerService::on_submit(const Event& e, std::vector<Decision>& out,
 
 void SchedulerService::on_complete(const Event& e, std::vector<Decision>& out,
                                    std::size_t line) {
-  auto it = jobs_.find(e.job);
-  if (it == jobs_.end()) {
+  JobRec* const found = find(e.job);
+  if (found == nullptr) {
     throw ProtocolError(RejectCode::kUnknownJob, line,
                         "job " + std::to_string(e.job) + " was never submitted");
   }
-  JobRec& job = it->second;
+  JobRec& job = *found;
   if (job.phase != Phase::kRunning) {
     throw ProtocolError(RejectCode::kNotRunning, line,
                         "job " + std::to_string(e.job) + " is not running");
@@ -546,12 +597,24 @@ void SchedulerService::on_complete(const Event& e, std::vector<Decision>& out,
   advance_integrator(e);
   predictor_->advance(e.time);
   emit_snapshots_until(e.time);
+  // A finished run checkpointed all along; the last checkpoint before the
+  // end is traced so the stream's checkpoint total matches sim_end's.
+  const std::size_t taken = static_cast<std::size_t>(
+      checkpoint_count(job.remaining_work, config_.ckpt));
+  stats_.checkpoints += taken;
+  if (tr_ != nullptr && taken > 0) {
+    tr_->event("checkpoint", e.time)
+        .field("job", job.id)
+        .field("count", static_cast<std::int64_t>(taken))
+        .field("work_saved",
+               job.remaining_work * static_cast<double>(job.size));
+  }
   job.phase = Phase::kDone;
   ++stats_.finished;
   ++m_finishes_;
   max_finish_ = std::max(max_finish_, e.time);
 
-  JobOutcome outcome;
+  JobOutcome& outcome = last_outcome_;
   outcome.id = job.id;
   outcome.size = job.size;
   outcome.arrival = job.arrival;
@@ -593,18 +656,16 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
   ensure_begin(e.time);
   emit_snapshots_until(e.time);
   // Feed the failure to the predictor before the kills it causes, so the
-  // requeued victims are re-placed with the new evidence (mirrors the
-  // driver's kFailure order). The protocol carries no up-front down-time,
-  // so down_for is 0 — see the FaultPredictor contract.
-  predictor_->observe_failure(e.node, e.time, 0.0);
+  // requeued victims are re-placed with the new evidence.
+  predictor_->observe_failure(e.node, e.time);
   if (pred_armed_) pred_failed_.set(e.node);
   ++stats_.failures;
   const std::vector<std::uint64_t> victims =
       torus_.allocations_containing(e.node);
   if (tr_ != nullptr) {
-    // A live stream's down-time ends with an explicit repair event, not a
-    // duration known up front: down_for stays 0, and "down":true tells the
-    // auditor to hold the node down until the matching node_repair.
+    // Down-time ends with an explicit repair event, not a duration known up
+    // front: down_for stays 0, and "down":true tells the auditor to hold
+    // the node down until the matching node_repair.
     auto ev = tr_->event("node_failure", e.time);
     ev.field("node", e.node)
         .field("victims", static_cast<std::int64_t>(victims.size()))
@@ -612,6 +673,7 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
     if (e.down) ev.field("down", true);
   }
   if (e.down) {
+    if (!down_.test(e.node)) ++down_count_;
     down_.set(e.node);
     // No-op if a victim still holds the node; the victim's release keeps it
     // blocked because index_release subtracts the down overlay.
@@ -619,7 +681,7 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
   }
   if (!victims.empty()) ++stats_.failures_hitting_jobs;
   for (const std::uint64_t id : victims) {
-    kill_job(jobs_.find(id)->second, e.time, e.node, out);
+    kill_job(*find(id), e.time, e.node, out);
   }
   if (!victims.empty() || e.down ||
       config_.failure_semantics == FailureSemantics::kDownFor) {
@@ -640,6 +702,7 @@ void SchedulerService::on_repair(const Event& e, std::vector<Decision>& out,
   predictor_->observe_repair(e.node, e.time);
   if (tr_ != nullptr) tr_->event("node_repair", e.time).field("node", e.node);
   down_.reset(e.node);
+  --down_count_;
   // The node cannot be allocated while down, so releasing it in the index
   // exactly undoes the failure-time block.
   if (index_ != nullptr) index_->release_node(e.node);
@@ -716,7 +779,7 @@ bool SchedulerService::finish_stream() {
       .field("lost", lost)
       .field("job_kills", static_cast<std::int64_t>(stats_.kills))
       .field("migrations", static_cast<std::int64_t>(stats_.migrations))
-      .field("checkpoints", static_cast<std::int64_t>(0))
+      .field("checkpoints", static_cast<std::int64_t>(stats_.checkpoints))
       .field("work_lost_node_seconds", stats_.work_lost_node_seconds);
   tr_->flush();
   end_emitted_ = true;

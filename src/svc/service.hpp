@@ -1,36 +1,37 @@
-// SchedulerService: the scheduler core split from the simulation clock.
+// SchedulerService: the scheduler core split from the clock.
 //
 // The service owns everything a scheduling decision depends on — the
 // Scheduler engine, the PartitionCatalog + FreePartitionIndex, the waiting
-// queue, torus occupancy, and the down-node overlay — but owns no clock and
-// no pending-event set. Time only advances when an Event arrives; each
+// queue, torus occupancy, the down-node overlay, the predictor feed, and
+// each job's remaining work under the checkpoint model — but owns no clock
+// and no pending-event set. Time only advances when an Event arrives; each
 // event is validated, applied, and answered with zero or more Decisions
-// (start/kill/migrate). That inversion is what lets one core be driven by:
+// (start/kill/migrate). That inversion lets one core be driven by every
+// clock:
 //
-//   * the discrete-event simulator (svc/sim_adapter.hpp), differentially
-//     tested byte-identical to sim/driver for every scheduler × algorithm;
+//   * the discrete-event simulator: run_simulation (sim/driver.hpp) is the
+//     DES loop in svc/sim_adapter.cpp, which pops arrivals, finishes,
+//     failures and repairs and hands each one to this service;
 //   * a live JSONL stream over stdin or a Unix socket (svc/server.hpp,
 //     tools/sched_server);
 //   * tests and load generators (tools/loadgen).
 //
-// Semantics mirror the driver exactly (same queue comparator, same
-// scheduler-invocation sites, same index maintenance under the down
-// overlay), so decisions are bit-identical when both are fed the same
-// event sequence. Events the service refuses (unknown job, duplicate id,
-// time running backwards, ...) raise ProtocolError and leave the state
-// untouched — the online analogue of the driver's BGL_CHECK contracts,
-// recoverable because a remote client's bad line must not kill the server.
+// Events the service refuses (unknown job, duplicate id, time running
+// backwards, ...) raise ProtocolError and leave the state untouched, so a
+// remote client's bad line cannot kill the server.
 //
 // Tracing: with ServiceConfig::obs.trace attached the service emits the
 // standard JSONL schema (sim_begin lazily at the first event, job_submit /
 // sched_decision / job_start / migration / node_failure / node_repair /
-// job_kill / job_finish, and sim_end from finish_stream()), auditable by
-// tools/trace_audit --strict. Differences from driver traces are documented
-// in docs/SERVICE.md (no checkpoint modelling, sim_begin jobs=0).
+// checkpoint / job_kill / job_finish, periodic machine_state / metrics, and
+// sim_end from finish_stream()), auditable by tools/trace_audit --strict.
+// Job ids are the ids the clock submitted (workload indices under the
+// simulator); docs/OBSERVABILITY.md lists the schema.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -55,10 +56,10 @@ class LatencyRing;
 
 namespace bgl::svc {
 
-/// Service configuration: the scheduling-relevant subset of SimConfig (the
-/// clock-side knobs — event queue kind, checkpoint model, snapshots, replay
-/// — stay with the driver/adapter). Defaults favour online use: krevat with
-/// no predictor needs no failure oracle.
+/// Service configuration: the decision-side subset of SimConfig (the
+/// clock-side knobs — event queue kind, down-time duration, replay and
+/// outcome collection — stay with the simulator). Defaults favour online
+/// use: krevat with no predictor needs no failure oracle.
 struct ServiceConfig {
   Dims dims = Dims::bluegene_l();
   Topology topology = Topology::kTorus;
@@ -76,21 +77,39 @@ struct ServiceConfig {
   SchedulerConfig sched;
   QueueOrder queue_order = QueueOrder::kFcfs;
   MetricsConfig metrics;
-  /// Drives the pass-invocation rule on victimless fail events, mirroring
-  /// the driver. Event-level "down":true always applies the down overlay.
+  /// Periodic-checkpoint model (ckpt/checkpoint.hpp). The service owns each
+  /// job's remaining work: a kill keeps the progress at the last completed
+  /// checkpoint and traces a `checkpoint` line before its job_kill. Enabled
+  /// only for jobs submitted with a runtime (the simulator's); a submit
+  /// without one is refused while it is on.
+  CheckpointConfig ckpt;
+  /// kDownFor makes every fail event run a scheduler pass, even without
+  /// victims. Event-level "down":true always applies the down overlay.
   FailureSemantics failure_semantics = FailureSemantics::kTransient;
   std::uint64_t seed = 1;
   bool use_partition_index = true;
   obs::Observer obs;
 
   /// Emit machine_state / `metrics` trace events every this many stream
-  /// seconds (anchored at the first traced event, like the driver's
-  /// SimConfig knobs). Boundaries are drained at the head of each accepted
-  /// event — after validation, before the event's own trace lines — so
-  /// rejected events emit nothing and t stays non-decreasing. 0 (default)
-  /// disables each; requires obs.trace, otherwise ignored.
+  /// seconds (anchored at the first event). Boundaries are drained at the
+  /// head of each accepted event — after validation, before the event's own
+  /// trace lines — so rejected events emit nothing and t stays
+  /// non-decreasing. 0 (default) disables each; requires obs.trace,
+  /// otherwise ignored.
   double snapshot_interval = 0.0;
   double metrics_interval = 0.0;
+};
+
+/// What a clock knows about its stream before the first event, reported on
+/// the sim_begin trace line. The simulator announces it; a live stream has
+/// no census, and its sim_begin reports jobs=0 and failure_events=0
+/// ("unknown").
+struct StreamCensus {
+  std::int64_t jobs = 0;
+  std::int64_t failure_events = 0;
+  /// Pending-event store of the driving clock when it is not the default
+  /// calendar queue ("heap"); empty otherwise and for live streams.
+  std::string event_queue;
 };
 
 /// Aggregates the service accumulates across a session (for the sim_end
@@ -106,6 +125,7 @@ struct ServiceStats {
   std::size_t failures_hitting_jobs = 0;
   std::size_t starts_on_flagged = 0;
   std::size_t flagged_with_alternative = 0;
+  std::size_t checkpoints = 0;  ///< Checkpoints behind kills and finishes.
   double work_lost_node_seconds = 0.0;
 };
 
@@ -124,6 +144,9 @@ class SchedulerService {
   SchedulerService(const SchedulerService&) = delete;
   SchedulerService& operator=(const SchedulerService&) = delete;
 
+  /// Record the stream census for sim_begin. Call before the first event.
+  void announce(const StreamCensus& census) { census_ = census; }
+
   /// Apply one event; decisions are appended to `out` in application order
   /// (kills of the fail event first, then migrations, then starts). Throws
   /// ProtocolError — with the service state unchanged — on an event it
@@ -139,6 +162,12 @@ class SchedulerService {
 
   // --- views (used by the sim adapter and the server's stats line) ---
   double now() const { return now_; }
+  /// Work a submitted job still has to compute (its runtime less the
+  /// progress saved by checkpoints, plus restart overheads; +inf when the
+  /// runtime is unknown). The simulator turns it into a finish time.
+  double remaining_work(std::uint64_t job) const;
+  /// Outcome of the job completed by the most recent complete event.
+  const JobOutcome& last_outcome() const { return last_outcome_; }
   /// Nodes neither occupied nor down (the capacity integrator's f(t)).
   int usable_free_nodes() const;
   /// Σ requested sizes of waiting jobs (the integrator's q(t)).
@@ -149,17 +178,20 @@ class SchedulerService {
   const PartitionCatalog& catalog() const { return *catalog_; }
 
  private:
-  enum class Phase { kWaiting, kRunning, kDone };
+  enum class Phase : std::uint8_t { kWaiting, kRunning, kDone };
 
+  /// One record per job ever submitted (kept for duplicate-id detection),
+  /// so it stays small: the allocation size is a catalog table lookup and
+  /// is not stored.
   struct JobRec {
     std::uint64_t id = 0;
-    int size = 1;
-    int alloc_size = 1;
     double arrival = 0.0;
     double estimate = 0.0;
     double runtime = -1.0;  ///< As submitted; < 0 when unknown.
+    double remaining_work = 0.0;
     double first_start = -1.0;
     double last_start = -1.0;
+    int size = 1;
     int restarts = 0;
     int entry = -1;
     Phase phase = Phase::kWaiting;
@@ -168,6 +200,8 @@ class SchedulerService {
   void build_scheduler(const FailureTrace* oracle);
   void ensure_begin(double t);
   void advance_integrator(const Event& event);
+  /// Record of a submitted job id, or null.
+  JobRec* find(std::uint64_t id);
   void enqueue(JobRec& job);
   void run_pass(double now, std::vector<Decision>& out);
   void kill_job(JobRec& job, double now, int node, std::vector<Decision>& out);
@@ -190,10 +224,11 @@ class SchedulerService {
     if (index_ != nullptr) index_->occupy(mask);
   }
   /// Down nodes stay blocked in the index when a victim's partition is
-  /// released (same overlay rule as the driver).
+  /// released (a kill caused by a down failure frees the partition while
+  /// the failed node stays in the overlay).
   void index_release(const NodeSet& mask) {
     if (index_ == nullptr) return;
-    if (down_.empty()) {
+    if (down_count_ == 0) {
       index_->release(mask);
     } else {
       NodeSet m = mask;
@@ -210,11 +245,15 @@ class SchedulerService {
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<FreePartitionIndex> index_;
 
+  // The map is consulted once per event or decision; the queue comparator
+  // and the per-pass views follow the pointers (element addresses in an
+  // unordered_map survive rehashing).
   std::unordered_map<std::uint64_t, JobRec> jobs_;
-  std::vector<std::uint64_t> queue_;    ///< Waiting ids, priority order.
-  std::vector<std::uint64_t> running_;  ///< Running ids, unordered.
+  std::vector<JobRec*> queue_;    ///< Waiting jobs, priority order.
+  std::vector<JobRec*> running_;  ///< Running jobs, unordered.
 
   NodeSet down_;
+  int down_count_ = 0;  ///< |down_|, so the common no-down case is O(1).
   double now_ = 0.0;
   bool any_event_ = false;
   long long queued_demand_ = 0;
@@ -231,6 +270,8 @@ class SchedulerService {
   double response_sum_ = 0.0;
   double slowdown_sum_ = 0.0;
   ServiceStats stats_;
+  JobOutcome last_outcome_;
+  StreamCensus census_;
 
   obs::TraceSink* tr_;
   obs::HistogramRegistry* hg_;
@@ -239,10 +280,10 @@ class SchedulerService {
   bool end_emitted_ = false;
   bool cadences_anchored_ = false;
 
-  // Periodic-emission state (mirrors sim/driver): cadence cursors anchored
-  // at the first traced event, the metrics window's event counts —
-  // incremented exactly where the matching trace lines are written — and
-  // the wall-clock latency ring over the window's scheduler passes.
+  // Periodic-emission state: cadence cursors anchored at the first event,
+  // the metrics window's event counts — incremented exactly where the
+  // matching trace lines are written — and the wall-clock latency ring over
+  // the window's scheduler passes.
   double next_snapshot_ = 0.0;  ///< 0 = off / not yet anchored.
   double next_metrics_ = 0.0;
   double last_metrics_t_ = 0.0;
@@ -254,10 +295,10 @@ class SchedulerService {
   std::int64_t m_decisions_ = 0;
   std::unique_ptr<obs::LatencyRing> decision_ring_;  ///< Null = metrics off.
 
-  // Rolling forecast scorer, mirroring sim/driver: the flagged set captured
-  // at each metrics boundary is scored against the nodes that failed inside
-  // the window (pred_tp/pred_fp/pred_fn metrics fields + cumulative pred.*
-  // counters for prometheus_render). Armed when metrics_interval > 0 and a
+  // Rolling forecast scorer: the flagged set captured at each metrics
+  // boundary is scored against the nodes that failed inside the window
+  // (pred_tp/pred_fp/pred_fn metrics fields + cumulative pred.* counters
+  // for prometheus_render). Armed when metrics_interval > 0 and a
   // trace sink or counter registry is attached.
   bool pred_armed_ = false;
   NodeSet pred_flagged_;

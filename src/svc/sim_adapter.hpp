@@ -1,43 +1,29 @@
-// Drive a SchedulerService from the discrete-event simulator.
+// The discrete-event simulator: the clock that drives SchedulerService.
 //
-// run_simulation_via_service() is a drop-in replacement for
-// sim/driver.hpp's run_simulation(): same inputs, same SimResult — verified
-// byte-identical (bitwise, via the SimResult checksum) across schedulers ×
-// algorithms by tests/svc_sim_adapter_test.cpp and CI's service-smoke job.
+// run_simulation (declared in sim/driver.hpp) and run_experiment (declared
+// in sim/experiment.hpp) are defined in sim_adapter.cpp. They own the
+// clock: the pending-event set (arrivals, finishes, failures, down-time
+// expiries), finish times from SchedulerService::remaining_work, stale-event
+// filtering, the §6.1 capacity integral, SimResult assembly and the replay
+// log. Every decision, the checkpoint model's work accounting, and every
+// trace line come from the SchedulerService they drive, so the simulator
+// and a live sched_server share one scheduling core.
 //
-// The split of responsibilities the service seam defines:
-//
-//   adapter (clock side)            service (decision side)
-//   ------------------------------  -----------------------------------
-//   event queue, arrival/failure    waiting queue, torus occupancy,
-//   preload, finish-time compute    partition index, down overlay,
-//   (walltime_for_work), stale-     scheduler passes, decision + trace
-//   finish generation tags,         emission
-//   checkpoint/kill work account-
-//   ing, capacity integral,
-//   SimResult assembly, replay log
-//
-// The adapter submits jobs under their internal workload indices — the same
-// scheduler-facing ids the driver uses — so id-salted predictors (the
-// tie-breaking coins) see identical inputs and every decision matches.
-//
-// Caveats vs the driver (differential tests run with tracing off):
-// config.obs is handed to the service, so traces follow the service schema
-// (job ids are indices, no checkpoint events, sim_begin jobs=0);
-// config.snapshot_interval is ignored (no machine_state events).
+// Each popped event is one `des.event` profiler span; the service's
+// `svc.event` span (and the scheduler passes under it) nests inside, so
+// des.event self time is the clock side and svc.event self time the
+// decision side. The driver.* counters (events, failures, kills,
+// checkpoints) are counted here.
 #pragma once
 
-#include "failure/trace.hpp"
 #include "sim/driver.hpp"
-#include "sim/metrics.hpp"
-#include "workload/job.hpp"
+#include "svc/service.hpp"
 
 namespace bgl::svc {
 
-SimResult run_simulation_via_service(const Workload& workload,
-                                     const FailureTrace& trace,
-                                     const SimConfig& config,
-                                     const PartitionCatalog* shared_catalog =
-                                         nullptr);
+/// The decision-side projection of a simulator configuration: everything
+/// SchedulerService reads (scheduler, predictor, queue order, checkpoint
+/// model, down-time semantics, observers, snapshot and metrics cadences).
+ServiceConfig service_config_from(const SimConfig& config);
 
 }  // namespace bgl::svc

@@ -33,7 +33,7 @@
 //
 // Copying: the CSR layout is immutable and shared between copies
 // (shared_ptr), so copy-assigning an index — the scheduler clones the
-// driver's index into a per-pass scratch — moves only the ~40 KB of
+// service's index into a per-pass scratch — moves only the ~40 KB of
 // mutable counters and reuses the destination's buffers.
 #pragma once
 
@@ -75,7 +75,7 @@ class FreePartitionIndex {
   /// stay blocked (e.g. they are down), pass mask & ~blocked instead.
   void release(const NodeSet& mask);
 
-  /// Single-node deltas for the driver's failure/recovery paths.
+  /// Single-node deltas for the service's failure/repair paths.
   void occupy_node(int node);
   void release_node(int node);
 

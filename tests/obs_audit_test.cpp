@@ -54,8 +54,13 @@ Workload make_workload(std::vector<Job> jobs) {
 }
 
 /// A run that exercises every event type: queueing, backfill, a failure
-/// with downtime that kills a checkpointed job, and periodic snapshots.
-std::string traced_run(double snapshot_interval, SimResult* result = nullptr) {
+/// with downtime that kills a checkpointed job, a repair, periodic
+/// snapshots, and — when `metrics_interval` > 0 — metrics windows (off by
+/// default: their decision-latency fields are wall-clock readings).
+std::string traced_run(double snapshot_interval, SimResult* result = nullptr,
+                       SchedulerKind scheduler = SchedulerKind::kBalancing,
+                       SchedAlgorithm algorithm = SchedAlgorithm::kKrevat,
+                       double metrics_interval = 0.0) {
   Workload w = make_workload({
       Job{1, 0.0, 100.0, 100.0, 128},  // fills the machine
       Job{2, 10.0, 50.0, 60.0, 64},    // queues behind it
@@ -64,13 +69,15 @@ std::string traced_run(double snapshot_interval, SimResult* result = nullptr) {
   });
   const FailureTrace trace({FailureEvent{40.0, 0}}, 128);
   SimConfig config;
-  config.scheduler = SchedulerKind::kBalancing;
+  config.scheduler = scheduler;
+  config.sched.algorithm = algorithm;
   config.alpha = 0.5;
   config.ckpt.enabled = true;
   config.ckpt.interval = 30.0;
   config.failure_semantics = FailureSemantics::kDownFor;
   config.node_downtime = 25.0;
   config.snapshot_interval = snapshot_interval;
+  config.metrics_interval = metrics_interval;
   std::ostringstream out;
   TraceSink sink(out);
   config.obs.trace = &sink;
@@ -82,12 +89,29 @@ std::string traced_run(double snapshot_interval, SimResult* result = nullptr) {
 // --- clean traces must pass ---
 
 TEST(TraceAudit, CleanTracePassesStrict) {
-  const std::string trace = traced_run(25.0);
-  const AuditReport report = audit_string(trace, AuditOptions{.strict = true});
-  EXPECT_TRUE(report.ok()) << codes_of(report);
-  EXPECT_EQ(report.jobs, 4u);
-  EXPECT_GT(report.events, 10u);
-  EXPECT_EQ(report.unknown_events, 0u);
+  for (const SchedulerKind s : {SchedulerKind::kKrevat, SchedulerKind::kBalancing,
+                                SchedulerKind::kTieBreak}) {
+    for (const SchedAlgorithm a :
+         {SchedAlgorithm::kKrevat, SchedAlgorithm::kEasy,
+          SchedAlgorithm::kConservative, SchedAlgorithm::kEasyHoldback}) {
+      const std::string label = std::string(to_string(s)) + "/" + to_string(a);
+      const std::string trace = traced_run(25.0, nullptr, s, a, 20.0);
+      const AuditReport report =
+          audit_string(trace, AuditOptions{.strict = true});
+      EXPECT_TRUE(report.ok()) << label << ": " << codes_of(report);
+      EXPECT_EQ(report.jobs, 4u) << label;
+      EXPECT_GT(report.events, 10u) << label;
+      EXPECT_EQ(report.unknown_events, 0u) << label;
+      // Every feature the fixture turns on reaches the trace.
+      for (const char* type : {"\"checkpoint\"", "\"job_kill\"",
+                               "\"node_repair\"", "\"machine_state\"",
+                               "\"metrics\""}) {
+        EXPECT_NE(trace.find(std::string("\"type\":") + type),
+                  std::string::npos)
+            << label << " lacks " << type;
+      }
+    }
+  }
 }
 
 TEST(TraceAudit, CleanTracePassesForEveryScheduler) {

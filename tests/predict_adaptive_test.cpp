@@ -31,7 +31,7 @@ TEST(AdaptivePredictor, SingleFailureFlagsForBaseWindow) {
   AdaptivePredictor p(kNodes, cfg);
   EXPECT_EQ(p.flagged_count(), 0);
 
-  p.observe_failure(5, 1000.0, 0.0);
+  p.observe_failure(5, 1000.0);
   EXPECT_TRUE(p.flagged_nodes(0, 0, 0).test(5));
   EXPECT_EQ(p.flagged_count(), 1);
   EXPECT_DOUBLE_EQ(p.flag_until(5), 1000.0 + cfg.node_flag_window);
@@ -49,8 +49,8 @@ TEST(AdaptivePredictor, RepeatOffenderBoostsWindow) {
   // Two failures of the same node, well inside repeat_window but too far
   // apart for the burst detector (and on one node, so no midplane trigger
   // at threshold 3).
-  p.observe_failure(7, 0.0, 0.0);
-  p.observe_failure(7, 48.0 * kHour, 0.0);
+  p.observe_failure(7, 0.0);
+  p.observe_failure(7, 48.0 * kHour);
   EXPECT_DOUBLE_EQ(p.flag_until(7),
                    48.0 * kHour + cfg.node_flag_window * cfg.repeat_boost);
 }
@@ -60,17 +60,17 @@ TEST(AdaptivePredictor, MachineWideBurstStretchesNewFlags) {
   AdaptivePredictor p(kNodes, cfg);
   // burst_threshold (3) failures within burst_window, on nodes spread across
   // distinct midplanes so the spatial feature stays out of the picture.
-  p.observe_failure(0, 0.0, 0.0);
-  p.observe_failure(40, 100.0, 0.0);
+  p.observe_failure(0, 0.0);
+  p.observe_failure(40, 100.0);
   EXPECT_EQ(p.bursts_detected(), 0u);
-  p.observe_failure(80, 200.0, 0.0);
+  p.observe_failure(80, 200.0);
   EXPECT_EQ(p.bursts_detected(), 1u);
   // The third failure's flag is stretched by burst_boost (first failure of
   // node 80, so no repeat boost).
   EXPECT_DOUBLE_EQ(p.flag_until(80),
                    200.0 + cfg.node_flag_window * cfg.burst_boost);
   // A later lone failure outside the burst window gets the base flag.
-  p.observe_failure(100, 200.0 + 2.0 * cfg.burst_window, 0.0);
+  p.observe_failure(100, 200.0 + 2.0 * cfg.burst_window);
   EXPECT_DOUBLE_EQ(p.flag_until(100),
                    200.0 + 2.0 * cfg.burst_window + cfg.node_flag_window);
 }
@@ -80,10 +80,10 @@ TEST(AdaptivePredictor, MidplaneCorrelationFlagsWholeGroup) {
   AdaptivePredictor p(kNodes, cfg);
   // Three failures inside midplane 0 (nodes 0..31) within a day — spaced
   // past burst_window so only the spatial feature fires.
-  p.observe_failure(2, 0.0, 0.0);
-  p.observe_failure(11, 2.0 * kHour, 0.0);
+  p.observe_failure(2, 0.0);
+  p.observe_failure(11, 2.0 * kHour);
   EXPECT_EQ(p.midplane_flags(), 0u);
-  p.observe_failure(29, 4.0 * kHour, 0.0);
+  p.observe_failure(29, 4.0 * kHour);
   EXPECT_EQ(p.midplane_flags(), 1u);
 
   const NodeSet flags = p.flagged_nodes(0, 0, 0);
@@ -101,8 +101,8 @@ TEST(AdaptivePredictor, AdvanceIsMonotoneAndIdempotent) {
   const double times[] = {0.0, 10.0 * kHour, 20.0 * kHour, 30.0 * kHour};
   const int nodes[] = {3, 3, 70, 101};
   for (std::size_t i = 0; i < 4; ++i) {
-    stepped.observe_failure(nodes[i], times[i], 0.0);
-    jumped.observe_failure(nodes[i], times[i], 0.0);
+    stepped.observe_failure(nodes[i], times[i]);
+    jumped.observe_failure(nodes[i], times[i]);
   }
   const double goal = 33.0 * kHour;
   // One predictor sees every intermediate tick (the simulator's stale-event
@@ -119,7 +119,7 @@ TEST(AdaptivePredictor, AdvanceIsMonotoneAndIdempotent) {
 
 TEST(AdaptivePredictor, RepairKeepsHazardFlags) {
   AdaptivePredictor p(kNodes, quiet_config());
-  p.observe_failure(9, 0.0, 4.0 * kHour);
+  p.observe_failure(9, 0.0);
   p.observe_repair(9, 4.0 * kHour);
   // Freshly repaired nodes are exactly the repeat offenders the flag is
   // watching; repair must not clear it.
@@ -129,8 +129,8 @@ TEST(AdaptivePredictor, RepairKeepsHazardFlags) {
 
 TEST(AdaptivePredictor, RequeriesWithinOnePassAreIdentical) {
   AdaptivePredictor p(kNodes, quiet_config());
-  p.observe_failure(17, 0.0, 0.0);
-  p.observe_failure(64, 100.0, 0.0);
+  p.observe_failure(17, 0.0);
+  p.observe_failure(64, 100.0);
   const NodeSet first = p.flagged_nodes(200.0, 6.0 * kHour, 1);
   // The scheduler re-asks with different query keys and windows while
   // comparing candidates within one pass; answers must not drift and the

@@ -83,7 +83,7 @@ TEST_P(SchedulerSweep, PartitionIndexDoesNotChangeAnyOutcome) {
   // decision must be bit-for-bit what the scan-based reference path
   // produces, end to end — including under failures, migration and
   // post-failure node downtime, which exercise every index update path in
-  // the driver.
+  // the service.
   const auto [kind, alpha] = GetParam();
   const Inputs in = small_inputs(20.0);
   SimConfig with = config_for(kind, alpha);

@@ -413,6 +413,76 @@ TEST(SvcService, TransientFailureTraceCarriesNoDownFlag) {
   EXPECT_EQ(trace.find("\"down\""), std::string::npos);
 }
 
+TEST(SvcService, CheckpointedKillKeepsSavedWorkAndTracesIt) {
+  std::ostringstream trace_out;
+  obs::TraceSink sink(trace_out);
+  ServiceConfig config;
+  config.obs.trace = &sink;
+  config.ckpt.enabled = true;
+  config.ckpt.interval = 100.0;
+  config.ckpt.overhead = 10.0;
+  config.ckpt.restart_overhead = 5.0;
+  SchedulerService service(config);
+  std::vector<Decision> out;
+  EXPECT_EQ(refusal(service, submit(0.0, 9, 8, 100.0)), RejectCode::kBadField)
+      << "checkpointing needs the runtime";
+
+  service.handle(submit(0.0, 1, 128, 1000.0, 1000.0), out);
+  EXPECT_EQ(service.remaining_work(1), 1000.0);
+  // Checkpoints complete at wall 110 and 220: 200 s of work survive the
+  // failure at 250, 50 s are lost, and the restart costs 5 s.
+  out.clear();
+  service.handle(fail(250.0, 3), out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].kind, DecisionKind::kKill);
+  EXPECT_EQ(out[1].kind, DecisionKind::kStart);
+  EXPECT_EQ(service.remaining_work(1), 805.0);
+  EXPECT_EQ(service.stats().checkpoints, 2u);
+  EXPECT_EQ(service.stats().work_lost_node_seconds, 50.0 * 128.0);
+
+  // 805 s of work with 8 checkpoint stalls of 10 s each.
+  service.handle(complete(250.0 + 885.0, 1), out);
+  EXPECT_EQ(service.stats().checkpoints, 10u);
+  ASSERT_TRUE(service.finish_stream());
+  sink.flush();
+
+  const std::string trace = trace_out.str();
+  EXPECT_NE(trace.find("\"type\":\"checkpoint\",\"t\":250,"), std::string::npos);
+  EXPECT_NE(trace.find("\"work_saved\":25600"), std::string::npos);
+  EXPECT_NE(trace.find("\"checkpoints\":10"), std::string::npos);
+  std::istringstream trace_in(trace);
+  obs::AuditOptions audit;
+  audit.strict = true;
+  const obs::AuditReport report = obs::audit_trace(trace_in, audit);
+  EXPECT_TRUE(report.ok()) << [&] {
+    std::ostringstream s;
+    report.write_json(s);
+    return s.str();
+  }();
+}
+
+TEST(SvcService, SimBeginReportsTheAnnouncedCensus) {
+  for (const bool announced : {false, true}) {
+    std::ostringstream trace_out;
+    obs::TraceSink sink(trace_out);
+    ServiceConfig config;
+    config.obs.trace = &sink;
+    SchedulerService service(config);
+    if (announced) service.announce(StreamCensus{3, 5, "heap"});
+    std::vector<Decision> out;
+    service.handle(submit(0.0, 1, 4, 100.0), out);
+    sink.flush();
+    const std::string begin = trace_out.str().substr(0, trace_out.str().find('\n'));
+    EXPECT_NE(begin.find(announced ? "\"jobs\":3,\"failure_events\":5"
+                                   : "\"jobs\":0,\"failure_events\":0"),
+              std::string::npos)
+        << begin;
+    EXPECT_EQ(begin.find("\"event_queue\":\"heap\"") != std::string::npos,
+              announced)
+        << begin;
+  }
+}
+
 TEST(SvcService, OracleModelsWithoutATraceRaiseTypedError) {
   for (const PredictorModel model :
        {PredictorModel::kPerfect, PredictorModel::kHistory}) {

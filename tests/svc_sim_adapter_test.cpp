@@ -1,13 +1,17 @@
-// Differential tests of the service-backed simulation path
-// (src/svc/sim_adapter.hpp): run_simulation_via_service must take literally
-// the same decisions as sim/driver's run_simulation — compared bitwise via
-// sim_result_checksum — for every scheduler × algorithm pairing and for the
-// clock-side feature variants (downtime semantics, queue orders, event
-// queues, checkpointing).
+// Frozen-result tests of run_simulation, the DES loop that drives
+// SchedulerService (src/svc/sim_adapter.cpp). Every digest below was
+// recorded from the simulator's standalone event loop before the simulator
+// was routed through the service; run_simulation must keep reproducing
+// them bit for bit (sim_result_checksum covers every count and the bit
+// patterns of every aggregate double) for every scheduler × algorithm
+// pairing and for the clock-side feature variants (down-time semantics,
+// queue orders, event queues, checkpointing).
 #include "svc/sim_adapter.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "failure/generator.hpp"
@@ -38,144 +42,185 @@ const Inputs& small_inputs() {
   return in;
 }
 
-void expect_parity(SimConfig config, const std::string& label) {
+void expect_frozen(const SimConfig& config, std::uint64_t frozen,
+                   const std::string& label) {
   const Inputs& in = small_inputs();
-  const SimResult via_driver = run_simulation(in.workload, in.trace, config);
-  const SimResult via_service =
-      svc::run_simulation_via_service(in.workload, in.trace, config);
-  EXPECT_EQ(sim_result_checksum(via_driver), sim_result_checksum(via_service))
-      << label << ": driver {jobs " << via_driver.jobs_completed << ", util "
-      << via_driver.utilization << ", kills " << via_driver.job_kills
-      << "} vs service {jobs " << via_service.jobs_completed << ", util "
-      << via_service.utilization << ", kills " << via_service.job_kills << "}";
-  EXPECT_GT(via_driver.jobs_completed, 0u) << label;
+  const SimResult r = run_simulation(in.workload, in.trace, config);
+  EXPECT_EQ(sim_result_checksum(r), frozen)
+      << label << ": {jobs " << r.jobs_completed << ", util " << r.utilization
+      << ", kills " << r.job_kills << "}";
+  EXPECT_EQ(r.jobs_completed, in.workload.jobs.size()) << label;
 }
 
-TEST(SvcSimAdapter, ParityAcrossSchedulersAndAlgorithms) {
-  const SchedulerKind schedulers[] = {SchedulerKind::kKrevat,
-                                      SchedulerKind::kBalancing,
-                                      SchedulerKind::kTieBreak};
-  const SchedAlgorithm algorithms[] = {
-      SchedAlgorithm::kKrevat, SchedAlgorithm::kEasy,
-      SchedAlgorithm::kConservative, SchedAlgorithm::kEasyHoldback};
-  for (const SchedulerKind s : schedulers) {
-    for (const SchedAlgorithm a : algorithms) {
+constexpr SchedulerKind kSchedulers[] = {
+    SchedulerKind::kKrevat, SchedulerKind::kBalancing, SchedulerKind::kTieBreak};
+constexpr SchedAlgorithm kAlgorithms[] = {
+    SchedAlgorithm::kKrevat, SchedAlgorithm::kEasy,
+    SchedAlgorithm::kConservative, SchedAlgorithm::kEasyHoldback};
+
+TEST(SvcSimAdapter, FrozenAcrossSchedulersAndAlgorithms) {
+  // [scheduler][algorithm], in kSchedulers × kAlgorithms order.
+  constexpr std::uint64_t kFrozen[3][4] = {
+      {0x0253734aa5126296ull, 0x0253734aa5126296ull, 0x86129290dc9577d6ull,
+       0x144bbf69f5f1a078ull},
+      {0x505d3400ce42833cull, 0x505d3400ce42833cull, 0x4f38d7f0c1a15e58ull,
+       0x420d7089c38bd43cull},
+      {0x356619af109f9205ull, 0x356619af109f9205ull, 0x1fed173ed22e0e33ull,
+       0x99d3a894fdf6ca2cull},
+  };
+  for (int s = 0; s < 3; ++s) {
+    for (int a = 0; a < 4; ++a) {
       SimConfig config;
-      config.scheduler = s;
-      config.sched.algorithm = a;
+      config.scheduler = kSchedulers[s];
+      config.sched.algorithm = kAlgorithms[a];
       config.alpha = 0.3;
       config.seed = 17;
-      expect_parity(config, std::string(to_string(s)) + "/" + to_string(a));
+      expect_frozen(config, kFrozen[s][a],
+                    std::string(to_string(kSchedulers[s])) + "/" +
+                        to_string(kAlgorithms[a]));
     }
   }
 }
 
 // The adaptive predictor is the one model whose entire state is built from
-// the observation feed, so this is the differential that proves both clock
-// owners deliver the identical observation sequence: any ordering or
-// filtering divergence between sim/driver and svc/SchedulerService changes
-// its flags and therefore the decisions.
-TEST(SvcSimAdapter, ParityWithAdaptivePredictor) {
-  const SchedulerKind schedulers[] = {SchedulerKind::kKrevat,
-                                      SchedulerKind::kBalancing,
-                                      SchedulerKind::kTieBreak};
-  const SchedAlgorithm algorithms[] = {
-      SchedAlgorithm::kKrevat, SchedAlgorithm::kEasy,
-      SchedAlgorithm::kConservative, SchedAlgorithm::kEasyHoldback};
-  for (const SchedulerKind s : schedulers) {
-    for (const SchedAlgorithm a : algorithms) {
+// the observation feed, so these digests pin the observation sequence the
+// service delivers: any ordering or filtering change in the fail/repair/
+// advance feed changes its flags and therefore the decisions.
+TEST(SvcSimAdapter, FrozenWithAdaptivePredictor) {
+  constexpr std::uint64_t kFrozen[3][4] = {
+      {0x3ea6457683565201ull, 0x3ea6457683565201ull, 0x054c4b7adb995799ull,
+       0x3cb6dadeebbc7925ull},
+      {0x59fd760f5b0bb763ull, 0x59fd760f5b0bb763ull, 0x179b4583c5c7d0eaull,
+       0xb1820c92cffe1b68ull},
+      {0x188aa7ff41beb67cull, 0x188aa7ff41beb67cull, 0x9e7ba219ce6ff43bull,
+       0xdaca1b0dba71d016ull},
+  };
+  for (int s = 0; s < 3; ++s) {
+    for (int a = 0; a < 4; ++a) {
       SimConfig config;
-      config.scheduler = s;
-      config.sched.algorithm = a;
+      config.scheduler = kSchedulers[s];
+      config.sched.algorithm = kAlgorithms[a];
       config.predictor_model = PredictorModel::kAdaptive;
       config.alpha = 0.3;
       config.seed = 17;
-      expect_parity(config,
-                    std::string("adaptive/") + to_string(s) + "/" + to_string(a));
+      expect_frozen(config, kFrozen[s][a],
+                    std::string("adaptive/") + to_string(kSchedulers[s]) +
+                        "/" + to_string(kAlgorithms[a]));
     }
   }
 }
 
-TEST(SvcSimAdapter, ParityWithAdaptivePredictorUnderDowntime) {
-  // The service never learns the configured downtime (its observe_failure
-  // gets down_for = 0) while the driver passes it; parity holds because the
-  // adaptive model deliberately ignores the advisory field.
+TEST(SvcSimAdapter, FrozenWithAdaptivePredictorUnderDowntime) {
   SimConfig config;
   config.scheduler = SchedulerKind::kBalancing;
   config.predictor_model = PredictorModel::kAdaptive;
   config.alpha = 0.4;
   config.failure_semantics = FailureSemantics::kDownFor;
   config.node_downtime = 4.0 * 3600.0;
-  expect_parity(config, "adaptive/downfor");
+  expect_frozen(config, 0x196679a06d78d35bull, "adaptive/downfor");
 }
 
-TEST(SvcSimAdapter, ParityWithDowntimeSemantics) {
+TEST(SvcSimAdapter, FrozenWithDowntimeSemantics) {
   SimConfig config;
   config.scheduler = SchedulerKind::kBalancing;
   config.alpha = 0.1;
   config.failure_semantics = FailureSemantics::kDownFor;
   config.node_downtime = 4.0 * 3600.0;
-  expect_parity(config, "downfor");
+  expect_frozen(config, 0xe42f1a56ccf0e263ull, "downfor");
 }
 
-TEST(SvcSimAdapter, ParityWithCheckpointing) {
+TEST(SvcSimAdapter, FrozenWithCheckpointing) {
   SimConfig config;
   config.scheduler = SchedulerKind::kKrevat;
   config.ckpt.enabled = true;
   config.ckpt.interval = 3600.0;
-  expect_parity(config, "checkpointing");
+  expect_frozen(config, 0xa410d1dbcfe93389ull, "checkpointing");
 }
 
-TEST(SvcSimAdapter, ParityAcrossQueueOrders) {
-  for (const QueueOrder order : {QueueOrder::kShortestJobFirst,
-                                 QueueOrder::kSmallestJobFirst}) {
+TEST(SvcSimAdapter, FrozenAcrossQueueOrders) {
+  const struct {
+    QueueOrder order;
+    std::uint64_t frozen;
+  } cases[] = {{QueueOrder::kShortestJobFirst, 0xc9686061af015e80ull},
+               {QueueOrder::kSmallestJobFirst, 0xe016785ebed55bbcull}};
+  for (const auto& c : cases) {
     SimConfig config;
     config.scheduler = SchedulerKind::kKrevat;
-    config.queue_order = order;
-    expect_parity(config, std::string("queue-order ") + to_string(order));
+    config.queue_order = c.order;
+    expect_frozen(config, c.frozen,
+                  std::string("queue-order ") + to_string(c.order));
   }
 }
 
-TEST(SvcSimAdapter, ParityWithHeapEventQueueAndNoIndex) {
+TEST(SvcSimAdapter, FrozenWithHeapEventQueueAndNoIndex) {
   SimConfig config;
   config.scheduler = SchedulerKind::kTieBreak;
   config.alpha = 0.5;
   config.event_queue = EventQueueKind::kHeap;
   config.use_partition_index = false;
-  expect_parity(config, "heap+no-index");
+  expect_frozen(config, 0x990bef2b9f128326ull, "heap+no-index");
 }
 
-TEST(SvcSimAdapter, ParityWithNoMigrationAndNoBackfill) {
+TEST(SvcSimAdapter, FrozenWithNoMigrationAndNoBackfill) {
   SimConfig config;
   config.scheduler = SchedulerKind::kBalancing;
   config.alpha = 0.1;
   config.sched.migration = false;
   config.sched.backfill = BackfillMode::kNone;
-  expect_parity(config, "no-migration/no-backfill");
+  expect_frozen(config, 0x5345cfe4b564beb3ull, "no-migration/no-backfill");
 }
 
-TEST(SvcSimAdapter, OutcomesAndReplayMatch) {
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  return h * 1315423911ull + v + 1;
+}
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+std::uint64_t as_u64(int v) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+}
+
+TEST(SvcSimAdapter, OutcomesAndReplayMatchFrozenDigests) {
   const Inputs& in = small_inputs();
   SimConfig config;
   config.scheduler = SchedulerKind::kKrevat;
   config.collect_outcomes = true;
   config.record_replay = true;
-  const SimResult a = run_simulation(in.workload, in.trace, config);
-  const SimResult b = svc::run_simulation_via_service(in.workload, in.trace, config);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].id, b.outcomes[i].id);
-    EXPECT_EQ(a.outcomes[i].finish, b.outcomes[i].finish);
-    EXPECT_EQ(a.outcomes[i].last_start, b.outcomes[i].last_start);
-    EXPECT_EQ(a.outcomes[i].restarts, b.outcomes[i].restarts);
+  const SimResult r = run_simulation(in.workload, in.trace, config);
+
+  std::uint64_t outcomes = 0;
+  for (const JobOutcome& o : r.outcomes) {
+    outcomes = mix(outcomes, o.id);
+    outcomes = mix(outcomes, bits(o.first_start));
+    outcomes = mix(outcomes, bits(o.last_start));
+    outcomes = mix(outcomes, bits(o.finish));
+    outcomes = mix(outcomes, as_u64(o.restarts));
   }
-  ASSERT_EQ(a.replay.size(), b.replay.size());
-  for (std::size_t i = 0; i < a.replay.size(); ++i) {
-    EXPECT_EQ(a.replay[i].time, b.replay[i].time) << i;
-    EXPECT_EQ(a.replay[i].type, b.replay[i].type) << i;
-    EXPECT_EQ(a.replay[i].job_id, b.replay[i].job_id) << i;
-    EXPECT_EQ(a.replay[i].entry_index, b.replay[i].entry_index) << i;
+  std::uint64_t replay = 0;
+  for (const ReplayEvent& e : r.replay) {
+    replay = mix(replay, bits(e.time));
+    replay = mix(replay, static_cast<std::uint64_t>(e.type));
+    replay = mix(replay, e.job_id);
+    replay = mix(replay, as_u64(e.node));
+    replay = mix(replay, as_u64(e.entry_index));
   }
+  EXPECT_EQ(r.outcomes.size(), 350u);
+  EXPECT_EQ(outcomes, 0xbfdb0e2c8211dcd1ull);
+  EXPECT_EQ(r.replay.size(), 1154u);
+  EXPECT_EQ(replay, 0x366bf8c98d5a1ed2ull);
+  EXPECT_EQ(sim_result_checksum(r), 0x0253734aa5126296ull);
+}
+
+TEST(SvcSimAdapter, ServiceConfigCarriesTheDecisionSideKnobs) {
+  SimConfig config;
+  config.ckpt.enabled = true;
+  config.ckpt.interval = 1800.0;
+  config.snapshot_interval = 7200.0;
+  config.metrics_interval = 3600.0;
+  config.failure_semantics = FailureSemantics::kDownFor;
+  const svc::ServiceConfig sc = svc::service_config_from(config);
+  EXPECT_EQ(sc.ckpt, config.ckpt);
+  EXPECT_EQ(sc.snapshot_interval, 7200.0);
+  EXPECT_EQ(sc.metrics_interval, 3600.0);
+  EXPECT_EQ(sc.failure_semantics, FailureSemantics::kDownFor);
 }
 
 }  // namespace
