@@ -227,9 +227,10 @@ bool SchedulingPass::try_migration(int alloc_size) {
   }
   s_->occ = std::move(repack->occupied_after);
   s_->live = std::move(repack->running_after);
-  // Compaction rewrote the occupancy wholesale; resync the scratch index
-  // with one rebuild (migration passes are rare and already
-  // O(running x catalog) in try_repack itself).
+  // Compaction rewrote the occupancy wholesale; resync the index with one
+  // rebuild (migration passes are rare and already O(running x catalog) in
+  // try_repack itself). This is the re-pack's commit: the caller applies
+  // the migrations to everything but the index.
   if (idx_ != nullptr) idx_->reset(s_->occ);
   return true;
 }

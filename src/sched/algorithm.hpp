@@ -7,10 +7,10 @@
 //   fault prediction                           FaultPredictor (predict/)
 //
 // The Scheduler prepares one SchedulingPass — pass-local occupancy, the
-// live-job view, the cloned free-partition index, the decision being built,
-// counters/trace plumbing — and hands it to the configured algorithm, which
-// owns only the *discipline*: which queued jobs to try, in what order, and
-// under which reservation constraints. Every mutation goes through the pass
+// live-job view, the caller's free-partition index (advanced in place), the
+// decision being built, counters/trace plumbing — and hands it to the
+// configured algorithm, which owns only the *discipline*: which queued jobs
+// to try, in what order, and under which reservation constraints. Every mutation goes through the pass
 // (place / try_migration / reservation), so any algorithm composes with any
 // scorer, any predictor, the migration machinery, and the incremental index
 // without re-implementing the bookkeeping or the observability contract.
@@ -158,7 +158,7 @@ class SchedulingPass {
 
 /// A scheduling discipline. Stateless across passes: run() must be a pure
 /// function of the pass (the Scheduler reuses one instance for its
-/// lifetime and schedule() must stay a pure function of its inputs).
+/// lifetime, and the decision must depend on schedule()'s inputs alone).
 class ISchedulingAlgorithm {
  public:
   virtual ~ISchedulingAlgorithm() = default;

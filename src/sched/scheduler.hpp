@@ -12,12 +12,13 @@
 //               TieBreakPredictor(accuracy a).
 //   prediction  FaultPredictor (predict/): which nodes get flagged.
 //
-// The engine is stateless: schedule() is a pure function of (now, queue,
-// running, occupancy). It prepares the pass scratch and the cloned index,
-// hands a SchedulingPass to the configured algorithm, and accounts the
-// pass-level timing. The simulation driver owns all mutable state and
-// applies the returned decision, which keeps the engine trivially testable
-// and lets benches share one driver across schedulers.
+// The engine keeps no state across passes: the decision schedule() returns
+// is a function of (now, queue, running, occupancy). It prepares the pass
+// scratch, hands a SchedulingPass to the configured algorithm, and accounts
+// the pass-level timing. The caller (SchedulerService) owns all scheduling
+// state and commits the returned decision; the one piece of that state the
+// pass writes is the caller's free-partition index, which it advances in
+// place to the post-decision occupancy.
 #pragma once
 
 #include <memory>
@@ -47,17 +48,20 @@ class Scheduler {
   /// `occupied` is the current occupancy mask (consistent with `running`).
   ///
   /// `index` (nullable) is an incremental free-partition view that must be
-  /// synced to `occupied` (checked). When provided, the engine clones it
-  /// into a per-pass scratch — updated incrementally as the pass places
-  /// jobs — and answers candidate enumeration and every MFP query through
-  /// it instead of scanning the catalog. Decisions are bit-for-bit
-  /// identical with and without the index (the scan path remains the
-  /// reference implementation and the differential tests hold both up
-  /// against each other).
+  /// synced to `occupied` (checked). When provided, the pass answers
+  /// candidate enumeration and every MFP query through it instead of
+  /// scanning the catalog, and advances it in place: each start occupies
+  /// its partition and a migration re-pack resets it to the re-packed
+  /// occupancy. On return it holds the post-decision occupancy — `occupied`
+  /// with the decision's migrations and starts applied — so the caller
+  /// commits the decision to everything but the index. Decisions are
+  /// bit-for-bit identical with and without the index (the scan path
+  /// remains the reference implementation and the differential tests hold
+  /// both up against each other).
   SchedulingDecision schedule(double now, const std::vector<WaitingJob>& queue,
                               const std::vector<RunningJob>& running,
                               const NodeSet& occupied,
-                              const FreePartitionIndex* index = nullptr) const;
+                              FreePartitionIndex* index = nullptr) const;
 
   const SchedulerConfig& config() const { return config_; }
   std::string name() const { return policy_->name(); }
@@ -78,16 +82,10 @@ class Scheduler {
   /// The configured discipline (config_.algorithm), stateless across passes.
   std::unique_ptr<ISchedulingAlgorithm> algorithm_;
   obs::Observer obs_{};
-  /// Per-pass working copy of the caller's index. schedule() stays a pure
-  /// function of its inputs — the scratch is reassigned from the caller's
-  /// index at the top of every pass (reusing its buffers; the immutable
-  /// CSR layout is shared) and never read across calls.
-  mutable std::unique_ptr<FreePartitionIndex> scratch_index_;
   /// Pooled per-pass scratch (arena + occupancy/flag sets + live-job copy),
   /// reused across schedule() calls when config_.arena_scratch is set so the
   /// steady-state pass performs no heap allocation. Purely a cache: it is
-  /// overwritten from the call's inputs before any read, so schedule()
-  /// remains a pure function of its arguments.
+  /// overwritten from the call's inputs before any read.
   mutable std::unique_ptr<SchedulerPassScratch> pass_scratch_;
 };
 

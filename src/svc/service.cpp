@@ -366,6 +366,8 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     }
   }
 
+  // The pass already advanced the index to the post-decision occupancy;
+  // what follows commits the decision to the torus and the job records.
   // Apply migrations first, in two phases: jobs may rotate into one
   // another's old partitions, so every mover must release before any
   // re-allocates.
@@ -373,12 +375,10 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     const JobRec* j = find(m.id);
     BGL_CHECK(j != nullptr, "migration refers to unknown job");
     BGL_CHECK(j->phase == Phase::kRunning, "migrating a non-running job");
-    index_release(catalog_->entry(torus_.entry_of(m.id)).mask);
     torus_.release(m.id);
   }
   for (const Migration& m : decision.migrations) {
     torus_.allocate(m.id, m.to_entry);
-    index_occupy(catalog_->entry(m.to_entry).mask);
     JobRec& j = *find(m.id);
     j.entry = m.to_entry;
     ++stats_.migrations;
@@ -419,7 +419,6 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     integrator_.add_queued(-static_cast<long long>(j.size));
 
     torus_.allocate(j.id, start.entry_index);
-    index_occupy(catalog_->entry(start.entry_index).mask);
     j.entry = start.entry_index;
     j.phase = Phase::kRunning;
     j.last_start = now;

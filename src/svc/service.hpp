@@ -220,9 +220,6 @@ class SchedulerService {
   void emit_machine_state(double t);
   void emit_metrics(double t);
 
-  void index_occupy(const NodeSet& mask) {
-    if (index_ != nullptr) index_->occupy(mask);
-  }
   /// Down nodes stay blocked in the index when a victim's partition is
   /// released (a kill caused by a down failure frees the partition while
   /// the failed node stays in the overlay).

@@ -15,12 +15,9 @@ FreePartitionIndex::FreePartitionIndex(const PartitionCatalog& catalog)
     : catalog_(&catalog), occ_(catalog.num_nodes()) {
   const int nodes = catalog.num_nodes();
   const int entries = catalog.num_entries();
-  // Word-granular deltas only pay off when few entries cover each word —
-  // true for block catalogs (solid, disjoint within a size class; 9 per
-  // word at full scale) and badly false for box catalogs, where thousands
-  // of overlapping boxes cover every word of the paper-scale machine.
-  word_deltas_ = catalog.options().mode == CatalogOptions::Mode::kBlocks &&
-                 !catalog.options().full_width_scans;
+  // full_width_scans keeps the per-node walk alone: the reference path the
+  // perf gates and the fuzz twins compare against.
+  const bool word_layout = !catalog.options().full_width_scans;
 
   auto layout = std::make_shared<Layout>();
   layout->node_offsets.assign(static_cast<std::size_t>(nodes) + 1, 0);
@@ -49,9 +46,8 @@ FreePartitionIndex::FreePartitionIndex(const PartitionCatalog& catalog)
   }
 
   // The word-level inverted index (same counting-sort shape): every
-  // (entry, nonzero mask word) pair, keyed by word. Only built when the
-  // bulk delta path will use it.
-  if (word_deltas_) {
+  // (entry, nonzero mask word) pair, keyed by word.
+  if (word_layout) {
     const std::size_t nwords = occ_.words().size();
     layout->word_offsets.assign(nwords + 1, 0);
     for (int e = 0; e < entries; ++e) {
@@ -78,6 +74,27 @@ FreePartitionIndex::FreePartitionIndex(const PartitionCatalog& catalog)
         layout->word_entries[slot] = e;
         layout->word_masks[slot] = mask[w];
       }
+    }
+    // Per word, the delta popcount k from which the word walk is no dearer
+    // than the node walk: k x (mean entries per node in the word) >= entries
+    // covering the word. The paper's box catalog crosses over at k = 6
+    // (1421 entries per node, 7943 per word); the full-scale block catalog
+    // at k = 1 (9 either way).
+    layout->word_walk_from.resize(nwords);
+    for (std::size_t w = 0; w < nwords; ++w) {
+      const std::size_t first_node = w * 64;
+      const std::size_t last_node =
+          std::min(first_node + 64, static_cast<std::size_t>(nodes));
+      const std::int64_t node_cover =
+          layout->node_offsets[last_node] - layout->node_offsets[first_node];
+      const std::int64_t word_cost =
+          static_cast<std::int64_t>(layout->word_offsets[w + 1] -
+                                    layout->word_offsets[w]) *
+          static_cast<std::int64_t>(last_node - first_node);
+      const std::int64_t from =
+          node_cover == 0 ? 1 : (word_cost + node_cover - 1) / node_cover;
+      layout->word_walk_from[w] =
+          static_cast<std::uint8_t>(std::clamp<std::int64_t>(from, 1, 65));
     }
   }
   layout_ = std::move(layout);
@@ -126,10 +143,7 @@ void FreePartitionIndex::unblock(int entry) {
   if (size > mfp_cursor_) mfp_cursor_ = size;
 }
 
-void FreePartitionIndex::occupy_node(int node) {
-  BGL_CHECK(node >= 0 && node < occ_.bits(), "index node id out of range");
-  if (occ_.test(node)) return;
-  occ_.set(node);
+void FreePartitionIndex::add_node(int node) {
   const auto first = layout_->node_offsets[static_cast<std::size_t>(node)];
   const auto last = layout_->node_offsets[static_cast<std::size_t>(node) + 1];
   for (auto i = first; i < last; ++i) {
@@ -138,10 +152,7 @@ void FreePartitionIndex::occupy_node(int node) {
   }
 }
 
-void FreePartitionIndex::release_node(int node) {
-  BGL_CHECK(node >= 0 && node < occ_.bits(), "index node id out of range");
-  if (!occ_.test(node)) return;
-  occ_.reset(node);
+void FreePartitionIndex::remove_node(int node) {
   const auto first = layout_->node_offsets[static_cast<std::size_t>(node)];
   const auto last = layout_->node_offsets[static_cast<std::size_t>(node) + 1];
   for (auto i = first; i < last; ++i) {
@@ -150,29 +161,42 @@ void FreePartitionIndex::release_node(int node) {
   }
 }
 
+bool FreePartitionIndex::word_walk(std::size_t w, std::uint64_t delta) const {
+  return !layout_->word_walk_from.empty() &&
+         std::popcount(delta) >= layout_->word_walk_from[w];
+}
+
+void FreePartitionIndex::occupy_node(int node) {
+  BGL_CHECK(node >= 0 && node < occ_.bits(), "index node id out of range");
+  if (occ_.test(node)) return;
+  occ_.set(node);
+  add_node(node);
+}
+
+void FreePartitionIndex::release_node(int node) {
+  BGL_CHECK(node >= 0 && node < occ_.bits(), "index node id out of range");
+  if (!occ_.test(node)) return;
+  occ_.reset(node);
+  remove_node(node);
+}
+
+// Bulk deltas pick, per delta word, the cheaper of two walks that leave
+// identical counters: one counter update per covering entry per node, or
+// one popcount per covering entry of the word (64 nodes at a time).
 void FreePartitionIndex::occupy(const NodeSet& mask) {
   BGL_CHECK(mask.bits() == occ_.bits(), "index mask width mismatch");
   const NodeSet::WordSpan words = mask.words();
   std::uint64_t* occ_words = occ_.mutable_words();
-  if (!word_deltas_) {
-    // One counter walk per newly occupied node: the reference path, and
-    // the faster one on box catalogs (fewer entries per node than per word).
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t delta = words[w] & ~occ_words[w];
-      while (delta != 0) {
-        const int bit = std::countr_zero(delta);
-        delta &= delta - 1;
-        occupy_node(static_cast<int>(w) * 64 + bit);
-      }
-    }
-    return;
-  }
-  // Bulk path: per delta word, charge each covering entry the popcount of
-  // its overlap in one step — identical counters, 64 nodes at a time.
   for (std::size_t w = 0; w < words.size(); ++w) {
-    const std::uint64_t delta = words[w] & ~occ_words[w];
+    std::uint64_t delta = words[w] & ~occ_words[w];
     if (delta == 0) continue;
     occ_words[w] |= delta;
+    if (!word_walk(w, delta)) {
+      for (; delta != 0; delta &= delta - 1) {
+        add_node(static_cast<int>(w) * 64 + std::countr_zero(delta));
+      }
+      continue;
+    }
     const auto first = layout_->word_offsets[w];
     const auto last = layout_->word_offsets[w + 1];
     for (auto i = first; i < last; ++i) {
@@ -190,21 +214,16 @@ void FreePartitionIndex::release(const NodeSet& mask) {
   BGL_CHECK(mask.bits() == occ_.bits(), "index mask width mismatch");
   const NodeSet::WordSpan words = mask.words();
   std::uint64_t* occ_words = occ_.mutable_words();
-  if (!word_deltas_) {
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t delta = words[w] & occ_words[w];
-      while (delta != 0) {
-        const int bit = std::countr_zero(delta);
-        delta &= delta - 1;
-        release_node(static_cast<int>(w) * 64 + bit);
-      }
-    }
-    return;
-  }
   for (std::size_t w = 0; w < words.size(); ++w) {
-    const std::uint64_t delta = words[w] & occ_words[w];
+    std::uint64_t delta = words[w] & occ_words[w];
     if (delta == 0) continue;
     occ_words[w] &= ~delta;
+    if (!word_walk(w, delta)) {
+      for (; delta != 0; delta &= delta - 1) {
+        remove_node(static_cast<int>(w) * 64 + std::countr_zero(delta));
+      }
+      continue;
+    }
     const auto first = layout_->word_offsets[w];
     const auto last = layout_->word_offsets[w + 1];
     for (auto i = first; i < last; ++i) {

@@ -12,9 +12,10 @@
 //   free_by_size_[s]           free entries of exact size s
 //   mfp cursor                 lazily-decreasing largest size with free > 0
 //
-// An occupy/release delta of k nodes costs O(k * entries-per-node)
-// counter updates (1421 entries cover each node of the 4x4x8 supernode
-// machine); afterwards
+// An occupy/release delta costs, per 64-node word it touches, the cheaper
+// of k x entries-per-node counter updates (k = nodes of the delta in the
+// word; 1421 entries cover each node of the 4x4x8 supernode machine) and
+// one popcount per entry covering the word (7943 there); afterwards
 //
 //   mfp()                  O(1) amortised (cursor)
 //   has_free_of_size(s)    O(1)
@@ -31,12 +32,13 @@
 // differential fuzz harness (tests/torus_index_fuzz_test.cpp) drives
 // random delta sequences against it.
 //
-// Copying: the CSR layout is immutable and shared between copies
-// (shared_ptr), so copy-assigning an index — the scheduler clones the
-// service's index into a per-pass scratch — moves only the ~40 KB of
-// mutable counters and reuses the destination's buffers.
+// Ownership: the service owns one index and the scheduler advances it in
+// place as a pass commits starts and repacks, so each delta is applied
+// exactly once. The CSR layout is immutable and shared between copies
+// (shared_ptr); copying an index copies only its mutable counters.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -126,15 +128,13 @@ class FreePartitionIndex {
 
  private:
   /// Immutable per-catalog layout, shared across copies. Two inverted
-  /// indexes over the same coverage relation: per-node (single-node deltas,
-  /// box catalogs, and the full_width_scans reference path) and per-word
-  /// (bulk deltas on block catalogs — one popcount per covering entry per
-  /// delta word instead of one counter update per node, the difference
-  /// between O(|mask|) and O(|mask|/64) work on the 65 536-node machine).
-  /// The per-word arrays are only built for block catalogs: blocks are
-  /// solid and disjoint within a size class (9 entries per word at full
-  /// scale), whereas thousands of overlapping boxes cover every word of
-  /// the paper-scale machine, making word granularity a pessimization.
+  /// indexes over the same coverage relation: per-node (single-node deltas
+  /// and sparse delta words) and per-word (dense delta words — one popcount
+  /// per covering entry instead of one counter update per node and entry).
+  /// word_walk_from[w] is the delta popcount from which word w's word walk
+  /// is no dearer than its node walk. The per-word arrays are built for
+  /// every catalog except full_width_scans ones, which keep the per-node
+  /// walk alone as the reference path.
   struct Layout {
     std::vector<std::int32_t> node_offsets;  ///< CSR offsets, nodes + 1.
     std::vector<std::int32_t> node_entries;  ///< Covering entry indices.
@@ -142,10 +142,16 @@ class FreePartitionIndex {
     std::vector<std::int32_t> word_offsets;  ///< CSR offsets, words + 1.
     std::vector<std::int32_t> word_entries;  ///< Entries with bits in word.
     std::vector<std::uint64_t> word_masks;   ///< That entry's mask word.
+    std::vector<std::uint8_t> word_walk_from;  ///< Crossover popcount, 1..65.
   };
 
   void block(int entry);
   void unblock(int entry);
+  /// Counter walks for one node whose occupancy bit the caller has flipped.
+  void add_node(int node);
+  void remove_node(int node);
+  /// True when delta word `w` is cheaper to apply by the word walk.
+  bool word_walk(std::size_t w, std::uint64_t delta) const;
 
   const PartitionCatalog* catalog_;
   std::shared_ptr<const Layout> layout_;
@@ -156,8 +162,6 @@ class FreePartitionIndex {
   /// Lazily-decreasing upper bound on the MFP size: raised eagerly on
   /// unblock, lowered on demand in mfp(). Amortised O(1) per update.
   mutable int mfp_cursor_ = 0;
-  /// Bulk occupy/release go word-at-a-time (block catalogs only).
-  bool word_deltas_ = false;
 };
 
 }  // namespace bgl

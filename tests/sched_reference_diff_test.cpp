@@ -482,6 +482,22 @@ TEST(SeamReference, DefaultAlgorithmMatchesFrozenLoopAcrossConfigGrid) {
                 sc.now, sc.queue, sc.running, sc.occupied, &index);
             expect_equal(expected, indexed, (label + "/indexed").c_str());
 
+            // The pass advances the caller's index in place: it must end on
+            // the post-decision occupancy (migrations moved, starts added),
+            // the state the caller commits everywhere else.
+            NodeSet after = sc.occupied;
+            for (const Migration& m : indexed.migrations) {
+              after.subtract(catalog().entry(m.from_entry).mask);
+            }
+            for (const Migration& m : indexed.migrations) {
+              after |= catalog().entry(m.to_entry).mask;
+            }
+            for (const Start& s : indexed.starts) {
+              after |= catalog().entry(s.entry_index).mask;
+            }
+            EXPECT_EQ(index.occupied(), after) << label << "/indexed";
+            EXPECT_NO_THROW(index.check_invariants()) << label << "/indexed";
+
             for (const PlacementRecord& p : got.placements) {
               if (p.backfill) ++backfill_passes_seen;
             }

@@ -134,6 +134,58 @@ TEST(IndexFuzz, BlockCatalogTorus) {
   fuzz(Dims{16, 8, 8}, Topology::kTorus, 0xB10C5u, 900, options);
 }
 
+TEST(IndexFuzz, BoxCatalogMixedDensityDeltas) {
+  // Bulk deltas choose the node or the word walk per delta word by cost;
+  // on the paper's box catalog the crossover is 6 nodes per word, so deltas
+  // of 1-64 bits per word mix both walks inside one occupy/release call.
+  // A full_width_scans twin takes the per-node walk alone and must end
+  // every delta with the same counters.
+  const PartitionCatalog catalog(Dims::bluegene_l(), Topology::kTorus);
+  CatalogOptions reference_options;
+  reference_options.full_width_scans = true;
+  const PartitionCatalog reference_catalog(Dims::bluegene_l(), Topology::kTorus,
+                                           reference_options);
+  ASSERT_EQ(catalog.num_entries(), reference_catalog.num_entries());
+  FreePartitionIndex index(catalog);
+  FreePartitionIndex twin(reference_catalog);
+  const int nodes = catalog.num_nodes();
+  Rng rng(0x5EEDu);
+
+  for (int t = 0; t < 2000; ++t) {
+    // Random bits, 1-64 per word, drawn without regard to the current
+    // occupancy: occupy deltas partly hit occupied nodes, release deltas
+    // partly hit free ones, and both must be ignored there.
+    NodeSet delta(nodes);
+    for (int base = 0; base < nodes; base += 64) {
+      const int width = std::min(64, nodes - base);
+      const int k = static_cast<int>(
+          rng.uniform_int(1, static_cast<std::uint64_t>(width)));
+      for (int i = 0; i < k; ++i) {
+        delta.set(base + static_cast<int>(rng.uniform_int(
+                             0, static_cast<std::uint64_t>(width - 1))));
+      }
+    }
+    if (rng.uniform() < 0.5) {
+      index.occupy(delta);
+      twin.occupy(delta);
+    } else {
+      index.release(delta);
+      twin.release(delta);
+    }
+
+    ASSERT_EQ(index.occupied(), twin.occupied()) << "delta " << t;
+    ASSERT_EQ(index.mfp(), twin.mfp()) << "delta " << t;
+    for (int e = 0; e < catalog.num_entries(); ++e) {
+      ASSERT_EQ(index.blocked_count(e), twin.blocked_count(e))
+          << "delta " << t << " entry " << e;
+    }
+    if (t % 100 == 0) {
+      ASSERT_NO_THROW(index.check_invariants()) << "delta " << t;
+      ASSERT_NO_THROW(twin.check_invariants()) << "delta " << t;
+    }
+  }
+}
+
 TEST(IndexFuzz, BlockCatalogPerNodeReferencePath) {
   // full_width_scans also routes the index through the per-node counter
   // walk — the pre-optimization reference the perf gate compares against —

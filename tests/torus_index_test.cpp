@@ -134,7 +134,7 @@ TEST_F(IndexTest, CopyIsIndependent) {
   b.check_invariants();
 
   // Assignment into a used index reuses its buffers and must fully
-  // overwrite the previous state (the scheduler's per-pass scratch path).
+  // overwrite the previous state.
   b = a;
   EXPECT_EQ(b.mfp(), 0);
   b.check_invariants();
