@@ -61,7 +61,7 @@ class OracleRequiredError : public ConfigError {
   PredictorModel model_;
 };
 
-/// Everything the factory needs; mirrors the SimConfig/ServiceConfig knobs.
+/// Everything the factory needs: the predictor knobs of svc::ServiceConfig.
 struct PredictorSpec {
   PredictorModel model = PredictorModel::kPaper;
   PaperRole paper_role = PaperRole::kNull;  ///< Consulted for kPaper only.

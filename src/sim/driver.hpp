@@ -1,11 +1,12 @@
 // Event-driven simulation of job scheduling with faults (§6.1).
 //
 // run_simulation replays a workload and a failure trace through
-// svc::SchedulerService, the same scheduling core a live sched_server runs:
-// a discrete-event loop (svc/sim_adapter.cpp) owns the clock — arrivals,
-// finishes, failures and down-time expiries — and the service owns every
-// decision and the state behind it (queue, torus occupancy, down overlay,
-// predictor feed, checkpointed work). Semantics fixed by the paper:
+// svc::SchedulerService, the same scheduling core a live sched_server runs.
+// A discrete-event loop (svc/sim_adapter.cpp) owns the clock: pending
+// arrivals, finishes, failures and down-time expiries. The service owns
+// every decision, the state behind it (queue, torus occupancy, down
+// overlay, predictor feed, checkpointed work) and every §6.1 aggregate of
+// the SimResult. Semantics fixed by the paper:
 //
 //   * jobs start the instant they are scheduled;
 //   * failures are transient: a failing node kills any job running on it
@@ -19,121 +20,35 @@
 // (CheckpointConfig) and node down-time after a failure (kDownFor).
 #pragma once
 
-#include <cstdint>
-#include <memory>
-
-#include "ckpt/checkpoint.hpp"
 #include "des/event_queue.hpp"
 #include "failure/trace.hpp"
-#include "obs/observer.hpp"
-#include "predict/registry.hpp"
-#include "sched/types.hpp"
 #include "sim/metrics.hpp"
+#include "svc/config.hpp"
 #include "torus/catalog.hpp"
 #include "workload/job.hpp"
 
 namespace bgl {
 
-enum class SchedulerKind { kKrevat, kBalancing, kTieBreak };
+/// The service's configuration plus the four knobs only the clock reads.
+struct SimConfig : svc::ServiceConfig {
+  /// The paper's setup: balancing fed by the §4 simulated predictor. These
+  /// are the only defaults that differ from ServiceConfig's, because an
+  /// online deployment has no failure oracle while a simulation replays a
+  /// failure trace the kPaper model consults.
+  SimConfig() {
+    scheduler = SchedulerKind::kBalancing;
+    predictor_model = PredictorModel::kPaper;
+  }
 
-const char* to_string(SchedulerKind kind);
-
-// PredictorModel (and its to_string/parse) lives in predict/registry.hpp —
-// one registry shared by the service, CLIs and the sweep engine.
-
-/// The PaperRole the kPaper model resolves to under a scheduler kind:
-/// balancing -> BalancingPredictor, tie-break -> TieBreakPredictor,
-/// krevat -> no predictor.
-PaperRole paper_role_for(SchedulerKind kind);
-
-/// Waiting-queue priority order. The paper is strictly FCFS; the others are
-/// classic alternatives provided for scheduler studies (see
-/// bench_ablation_queue_order).
-enum class QueueOrder {
-  kFcfs,              ///< (arrival, id) — the paper's discipline.
-  kShortestJobFirst,  ///< (estimate, arrival, id).
-  kSmallestJobFirst,  ///< (nodes requested, arrival, id).
-};
-
-const char* to_string(QueueOrder order);
-
-/// What happens to a node after it fails.
-enum class FailureSemantics {
-  kTransient,  ///< Paper baseline: instantly healthy again.
-  kDownFor,    ///< Extension: unschedulable for `node_downtime` seconds.
-};
-
-struct SimConfig {
-  Dims dims = Dims::bluegene_l();
-  /// kTorus (the paper's model) or kMesh (no wrap-around; Krevat et al.
-  /// studied both — see bench_ablation_topology).
-  Topology topology = Topology::kTorus;
-  /// Catalog construction for the simulation's own catalog (ignored when a
-  /// shared catalog is passed in): kBoxes at paper scale, kBlocks for
-  /// full-machine runs where box enumeration is infeasible.
-  CatalogOptions catalog;
-  /// Pending-event store of the simulation loop. The calendar queue is the
-  /// default (O(1) amortised); the binary heap is the reference
-  /// implementation, kept selectable for perf baselines and differential
-  /// tests. Event order — and therefore every trace and metric — is
-  /// identical for both.
+  /// Pending-event store. The calendar queue is O(1) amortised; the binary
+  /// heap is the reference for perf baselines and differential tests. Event
+  /// order, and so every trace and metric, is identical for both.
   EventQueueKind event_queue = EventQueueKind::kCalendar;
-  SchedulerKind scheduler = SchedulerKind::kBalancing;
-
-  /// Prediction quality knob: confidence a for the balancing scheduler,
-  /// accuracy a for the tie-breaking scheduler. Ignored by Krevat.
-  double alpha = 0.0;
-  /// Optional false positives for the tie-breaking predictor (paper: 0).
-  double tiebreak_false_positive_rate = 0.0;
-  /// Predictor source (paper-simulated by default).
-  PredictorModel predictor_model = PredictorModel::kPaper;
-  /// History window of the kHistory predictor.
-  double history_lookback = 7.0 * 86400.0;
-  /// Hazard-model knobs of the kAdaptive predictor (its confidence follows
-  /// `alpha` when alpha > 0; see make_predictor).
-  AdaptiveConfig adaptive;
-
-  SchedulerConfig sched;
-  QueueOrder queue_order = QueueOrder::kFcfs;
-  MetricsConfig metrics;
-  CheckpointConfig ckpt;
-
-  FailureSemantics failure_semantics = FailureSemantics::kTransient;
   double node_downtime = 0.0;  ///< Seconds a node stays down (kDownFor).
-
-  std::uint64_t seed = 1;      ///< Salts the tie-breaking predictor's coins.
-
-  /// Maintain an incremental FreePartitionIndex over the scheduling
-  /// occupancy (updated in O(delta) on every allocate/release/failure) and
-  /// let the scheduler answer MFP and candidate queries through it instead
-  /// of scanning the catalog. Decisions are bit-for-bit identical either
-  /// way (differential-tested); disable only to run the scan-based
-  /// reference path, e.g. for A/B timing or debugging the index itself.
-  bool use_partition_index = true;
-  bool collect_outcomes = false;
-  /// Record a structured event log (SimResult::replay) for offline
-  /// validation, visualisation, or regression diffing (src/sim/replay.hpp).
+  bool collect_outcomes = false;  ///< Fill SimResult::outcomes.
+  /// Fill SimResult::replay, a structured event log for offline validation,
+  /// visualisation or regression diffing (sim/replay.hpp).
   bool record_replay = false;
-
-  /// Observability hooks (JSONL trace sink, counter registry and/or
-  /// histogram registry, all borrowed and nullable — see src/obs/ and
-  /// docs/OBSERVABILITY.md). The default disables all tracing/counting at
-  /// zero cost.
-  obs::Observer obs;
-
-  /// Emit a machine_state trace event every this many simulated seconds
-  /// (queue depth, running jobs, free nodes, MFP, fragmentation, flagged
-  /// nodes). 0 (the default) disables snapshots entirely; requires
-  /// obs.trace, otherwise ignored.
-  double snapshot_interval = 0.0;
-
-  /// Emit a `metrics` trace event every this many simulated seconds:
-  /// queue/occupancy gauges plus windowed rates (submits/starts/finishes/
-  /// kills/migrations, throughput, decision-latency quantiles over the
-  /// window's scheduler passes). 0 (the default) disables metrics — traces
-  /// are then byte-identical to pre-metrics builds; requires obs.trace,
-  /// otherwise ignored. docs/OBSERVABILITY.md documents the event.
-  double metrics_interval = 0.0;
 };
 
 /// Run one simulation. Job sizes must already fit config.dims (use

@@ -59,10 +59,7 @@ class CapacityIntegrator {
   void start(double t0, int free_nodes, long long queued_demand);
   void advance(double t);
   void set_free(int free_nodes) { free_ = free_nodes; }
-  void add_free(int delta) { free_ += delta; }
-  void set_queued(long long demand) { queued_ = demand; }
   void add_queued(long long delta) { queued_ += delta; }
-  int free_nodes() const { return free_; }
   long long queued_demand() const { return queued_; }
   double unused_integral() const { return integral_; }
 

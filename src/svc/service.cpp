@@ -168,8 +168,6 @@ void SchedulerService::emit_snapshots_until(double horizon) {
 }
 
 void SchedulerService::emit_machine_state(double t) {
-  int queued_nodes = 0;
-  for (const JobRec* j : queue_) queued_nodes += j->size;
   const NodeSet occ = scheduling_occupancy();
   const int mfp = index_ != nullptr ? index_->mfp() : catalog_->mfp(occ);
   const int free = usable_free_nodes();
@@ -181,7 +179,8 @@ void SchedulerService::emit_machine_state(double t) {
 
   tr_->event("machine_state", t)
       .field("queue_depth", static_cast<std::int64_t>(queue_.size()))
-      .field("queued_nodes", queued_nodes)
+      .field("queued_nodes",
+             static_cast<std::int64_t>(integrator_.queued_demand()))
       .field("running_jobs", static_cast<std::int64_t>(running_.size()))
       .field("free_nodes", free)
       .field("down_nodes", down_count_)
@@ -210,8 +209,6 @@ void SchedulerService::emit_metrics(double t) {
   }
 
   if (tr_ != nullptr) {
-    int queued_nodes = 0;
-    for (const JobRec* j : queue_) queued_nodes += j->size;
     // busy = nodes held by running jobs: exactly the union of live
     // allocation masks (down nodes sit in a separate overlay), which is
     // what the auditor recomputes from the stream.
@@ -227,7 +224,8 @@ void SchedulerService::emit_metrics(double t) {
 
     tr_->event("metrics", t)
         .field("queue_depth", static_cast<std::int64_t>(queue_.size()))
-        .field("queued_nodes", queued_nodes)
+        .field("queued_nodes",
+               static_cast<std::int64_t>(integrator_.queued_demand()))
         .field("running_jobs", static_cast<std::int64_t>(running_.size()))
         .field("busy_nodes", busy)
         .field("down_nodes", down_count_)
@@ -268,15 +266,12 @@ void SchedulerService::emit_metrics(double t) {
 /// submit (the workload's min arrival — the stream is time-ordered) and
 /// advances *before* each event's mutations.
 void SchedulerService::advance_integrator(const Event& event) {
-  if (!integrator_started_) {
-    if (event.kind != EventKind::kSubmit) return;
-    integrator_started_ = true;
-    integrator_t0_ = event.time;
+  if (stats_.submitted > 0) {
+    integrator_.advance(event.time);
+  } else if (event.kind == EventKind::kSubmit) {
     min_submit_ = event.time;
-    integrator_.start(event.time, usable_free_nodes(), queued_demand_);
-    return;
+    integrator_.start(event.time, usable_free_nodes(), 0);
   }
-  if (event.time >= integrator_t0_) integrator_.advance(event.time);
 }
 
 SchedulerService::JobRec* SchedulerService::find(std::uint64_t id) {
@@ -313,7 +308,6 @@ void SchedulerService::enqueue(JobRec& job) {
   queue_.insert(pos, &job);
   // §6.1: q(t) counts the nodes *requested* by waiting jobs (s_j, not the
   // rounded-up allocation size).
-  queued_demand_ += job.size;
   integrator_.add_queued(job.size);
 }
 
@@ -415,7 +409,6 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     const auto qpos = std::find(queue_.begin(), queue_.end(), job);
     BGL_CHECK(qpos != queue_.end(), "started job missing from queue");
     queue_.erase(qpos);
-    queued_demand_ -= j.size;
     integrator_.add_queued(-static_cast<long long>(j.size));
 
     torus_.allocate(j.id, start.entry_index);
@@ -564,7 +557,6 @@ void SchedulerService::on_submit(const Event& e, std::vector<Decision>& out,
       e.runtime >= 0.0 ? e.runtime : std::numeric_limits<double>::infinity();
   enqueue(job);
   ++stats_.submitted;
-  min_submit_ = std::min(min_submit_, e.time);
   // sim_end utilization must equal the auditor's recomputation from the
   // runtimes traced here, so unknown runtimes count as 0 in both places.
   useful_work_ +=
@@ -626,9 +618,9 @@ void SchedulerService::on_complete(const Event& e, std::vector<Decision>& out,
   outcome.estimate = job.estimate;
   outcome.restarts = job.restarts;
   const double slowdown = bounded_slowdown(outcome, config_.metrics);
-  wait_sum_ += outcome.wait();
-  response_sum_ += outcome.response();
-  slowdown_sum_ += slowdown;
+  wait_.add(outcome.wait());
+  response_.add(outcome.response());
+  slowdown_.add(slowdown);
   if (hg_ != nullptr) {
     hg_->add(obs::Hist::kWait, outcome.wait());
     hg_->add(obs::Hist::kResponse, outcome.response());
@@ -752,34 +744,60 @@ void SchedulerService::handle(const Event& event, std::vector<Decision>& out,
   now_ = std::max(now_, event.time);
 }
 
+SimResult SchedulerService::summary() const {
+  SimResult r;
+  r.jobs_completed = stats_.finished;
+  r.job_kills = stats_.kills;
+  r.avoidable_kills = stats_.avoidable_kills;
+  r.starts_on_flagged = stats_.starts_on_flagged;
+  r.flagged_with_alternative = stats_.flagged_with_alternative;
+  r.failures_hitting_jobs = stats_.failures_hitting_jobs;
+  r.failures_total = stats_.failures;
+  r.migrations = stats_.migrations;
+  r.checkpoints_taken = stats_.checkpoints;
+  r.work_lost_node_seconds = stats_.work_lost_node_seconds;
+
+  r.span = max_finish_ - min_submit_;
+  r.wait_stats = wait_;
+  r.response_stats = response_;
+  r.slowdown_stats = slowdown_;
+  r.avg_wait = wait_.mean();
+  r.avg_response = response_.mean();
+  r.avg_bounded_slowdown = slowdown_.mean();
+  const double tn = r.span * static_cast<double>(catalog_->num_nodes());
+  if (tn > 0.0) {
+    r.utilization = useful_work_ / tn;
+    r.unused = integrator_.unused_integral() / tn;
+    r.lost = 1.0 - r.utilization - r.unused;
+  }
+  return r;
+}
+
 bool SchedulerService::finish_stream() {
   if (tr_ == nullptr) return false;
   if (end_emitted_) return true;
   if (stats_.submitted == 0 || !queue_.empty() || !running_.empty()) {
     return false;  // trace stays truncated: jobs are still in flight
   }
-  const double span = max_finish_ - min_submit_;
-  const double n = static_cast<double>(stats_.finished);
-  const double tn = span * static_cast<double>(catalog_->num_nodes());
-  double utilization = 0.0, unused = 0.0, lost = 0.0;
-  if (tn > 0.0) {
-    utilization = useful_work_ / tn;
-    unused = integrator_.unused_integral() / tn;
-    lost = 1.0 - utilization - unused;
-  }
+  const SimResult r = summary();
+  // sim_end publishes Σ/n, which a client summing the job_finish lines
+  // reproduces exactly; SimResult::avg_* are the running means.
+  auto mean = [](const RunningStats& s) {
+    return s.count() > 0 ? s.sum() / static_cast<double>(s.count()) : 0.0;
+  };
   tr_->event("sim_end", max_finish_)
-      .field("jobs_completed", static_cast<std::int64_t>(stats_.finished))
-      .field("span", span)
-      .field("avg_wait", n > 0.0 ? wait_sum_ / n : 0.0)
-      .field("avg_response", n > 0.0 ? response_sum_ / n : 0.0)
-      .field("avg_bounded_slowdown", n > 0.0 ? slowdown_sum_ / n : 0.0)
-      .field("utilization", utilization)
-      .field("unused", unused)
-      .field("lost", lost)
-      .field("job_kills", static_cast<std::int64_t>(stats_.kills))
-      .field("migrations", static_cast<std::int64_t>(stats_.migrations))
-      .field("checkpoints", static_cast<std::int64_t>(stats_.checkpoints))
-      .field("work_lost_node_seconds", stats_.work_lost_node_seconds);
+      .field("jobs_completed", static_cast<std::int64_t>(r.jobs_completed))
+      .field("span", r.span)
+      .field("avg_wait", mean(r.wait_stats))
+      .field("avg_response", mean(r.response_stats))
+      .field("avg_bounded_slowdown", mean(r.slowdown_stats))
+      .field("utilization", r.utilization)
+      .field("unused", r.unused)
+      .field("lost", r.lost)
+      .field("job_kills", static_cast<std::int64_t>(r.job_kills))
+      .field("migrations", static_cast<std::int64_t>(r.migrations))
+      .field("checkpoints", static_cast<std::int64_t>(r.checkpoints_taken))
+      .field("work_lost_node_seconds", r.work_lost_node_seconds);
   tr_->flush();
   end_emitted_ = true;
   return true;

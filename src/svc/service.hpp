@@ -38,8 +38,8 @@
 #include "failure/trace.hpp"
 #include "obs/observer.hpp"
 #include "sched/types.hpp"
-#include "sim/driver.hpp"
 #include "sim/metrics.hpp"
+#include "svc/config.hpp"
 #include "svc/protocol.hpp"
 #include "torus/catalog.hpp"
 #include "torus/index.hpp"
@@ -56,50 +56,6 @@ class LatencyRing;
 
 namespace bgl::svc {
 
-/// Service configuration: the decision-side subset of SimConfig (the
-/// clock-side knobs — event queue kind, down-time duration, replay and
-/// outcome collection — stay with the simulator). Defaults favour online
-/// use: krevat with no predictor needs no failure oracle.
-struct ServiceConfig {
-  Dims dims = Dims::bluegene_l();
-  Topology topology = Topology::kTorus;
-  CatalogOptions catalog;
-  SchedulerKind scheduler = SchedulerKind::kKrevat;
-  double alpha = 0.0;
-  double tiebreak_false_positive_rate = 0.0;
-  /// kNone by default: the oracle predictors need a failure trace, which an
-  /// online deployment does not have (pass one for simulation parity).
-  /// kAdaptive needs none — it learns from the fail/repair events.
-  PredictorModel predictor_model = PredictorModel::kNone;
-  double history_lookback = 7.0 * 86400.0;
-  /// Hazard-model knobs of the kAdaptive predictor.
-  AdaptiveConfig adaptive;
-  SchedulerConfig sched;
-  QueueOrder queue_order = QueueOrder::kFcfs;
-  MetricsConfig metrics;
-  /// Periodic-checkpoint model (ckpt/checkpoint.hpp). The service owns each
-  /// job's remaining work: a kill keeps the progress at the last completed
-  /// checkpoint and traces a `checkpoint` line before its job_kill. Enabled
-  /// only for jobs submitted with a runtime (the simulator's); a submit
-  /// without one is refused while it is on.
-  CheckpointConfig ckpt;
-  /// kDownFor makes every fail event run a scheduler pass, even without
-  /// victims. Event-level "down":true always applies the down overlay.
-  FailureSemantics failure_semantics = FailureSemantics::kTransient;
-  std::uint64_t seed = 1;
-  bool use_partition_index = true;
-  obs::Observer obs;
-
-  /// Emit machine_state / `metrics` trace events every this many stream
-  /// seconds (anchored at the first event). Boundaries are drained at the
-  /// head of each accepted event — after validation, before the event's own
-  /// trace lines — so rejected events emit nothing and t stays
-  /// non-decreasing. 0 (default) disables each; requires obs.trace,
-  /// otherwise ignored.
-  double snapshot_interval = 0.0;
-  double metrics_interval = 0.0;
-};
-
 /// What a clock knows about its stream before the first event, reported on
 /// the sim_begin trace line. The simulator announces it; a live stream has
 /// no census, and its sim_begin reports jobs=0 and failure_events=0
@@ -112,8 +68,8 @@ struct StreamCensus {
   std::string event_queue;
 };
 
-/// Aggregates the service accumulates across a session (for the sim_end
-/// trace event and the server's stats line).
+/// Counts the service accumulates across a session (for summary() and the
+/// server's stats line).
 struct ServiceStats {
   std::size_t submitted = 0;
   std::size_t finished = 0;
@@ -155,10 +111,17 @@ class SchedulerService {
   void handle(const Event& event, std::vector<Decision>& out,
               std::size_t line = 0);
 
-  /// End of stream: emit the sim_end trace event iff tracing is on, at
-  /// least one job was submitted, and no job is still waiting or running.
-  /// Returns true when sim_end was written (or already had been).
+  /// End of stream: emit the sim_end trace event (from summary()) iff
+  /// tracing is on, at least one job was submitted, and no job is still
+  /// waiting or running. Returns true when sim_end was written (or already
+  /// had been).
   bool finish_stream();
+
+  /// The session's §6.1 aggregates: the counts, the span from the first
+  /// submit to the last completion, the wait/response/slowdown stats of the
+  /// completed jobs, and utilization/unused/lost from the capacity
+  /// integral. run_simulation returns this plus its clock-side vectors.
+  SimResult summary() const;
 
   // --- views (used by the sim adapter and the server's stats line) ---
   double now() const { return now_; }
@@ -170,8 +133,9 @@ class SchedulerService {
   const JobOutcome& last_outcome() const { return last_outcome_; }
   /// Nodes neither occupied nor down (the capacity integrator's f(t)).
   int usable_free_nodes() const;
-  /// Σ requested sizes of waiting jobs (the integrator's q(t)).
-  long long queued_demand() const { return queued_demand_; }
+  /// Whether `node` is in the down overlay (failed with "down":true and not
+  /// yet repaired).
+  bool is_down(int node) const { return down_.test(node); }
   std::size_t waiting_jobs() const { return queue_.size(); }
   std::size_t running_jobs() const { return running_.size(); }
   const ServiceStats& stats() const { return stats_; }
@@ -253,19 +217,16 @@ class SchedulerService {
   int down_count_ = 0;  ///< |down_|, so the common no-down case is O(1).
   double now_ = 0.0;
   bool any_event_ = false;
-  long long queued_demand_ = 0;
 
-  // Session aggregates for sim_end (same recomputation rules trace_audit
+  // Session aggregates for summary() (same recomputation rules trace_audit
   // applies: utilization from the runtimes traced in job_submit).
-  CapacityIntegrator integrator_;
-  bool integrator_started_ = false;
-  double integrator_t0_ = 0.0;
+  CapacityIntegrator integrator_;  ///< Also holds q(t), the queued demand.
   double min_submit_ = 0.0;
   double max_finish_ = 0.0;
   double useful_work_ = 0.0;
-  double wait_sum_ = 0.0;
-  double response_sum_ = 0.0;
-  double slowdown_sum_ = 0.0;
+  RunningStats wait_;
+  RunningStats response_;
+  RunningStats slowdown_;
   ServiceStats stats_;
   JobOutcome last_outcome_;
   StreamCensus census_;

@@ -27,6 +27,13 @@ bool starts_with(std::string_view text, std::string_view prefix);
 std::optional<long long> parse_int(std::string_view token);
 std::optional<double> parse_double(std::string_view token);
 
+/// Command-line flag values, parsed strictly: the full token must be an
+/// integer, or a finite number (parse_double accepts "nan" and "inf", which
+/// would slip through every range check). Otherwise throws ConfigError
+/// naming the flag and the token.
+long long require_int(std::string_view flag, std::string_view token);
+double require_double(std::string_view flag, std::string_view token);
+
 /// printf-like double formatting with fixed precision.
 std::string format_double(double value, int precision);
 

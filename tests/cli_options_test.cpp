@@ -96,6 +96,11 @@ TEST(CliOptions, DomainChecks) {
             std::string::npos);
   EXPECT_NE(error_of({"--ckpt-interval", "0"}).find("--ckpt-interval"),
             std::string::npos);
+  // Non-finite values would pass every range check (NaN compares false).
+  EXPECT_NE(error_of({"--alpha", "nan"}).find("--alpha"), std::string::npos);
+  EXPECT_NE(error_of({"--load", "inf"}).find("--load"), std::string::npos);
+  EXPECT_NE(error_of({"--snapshot-interval", "nan"}).find("--snapshot-interval"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -81,8 +81,8 @@ TEST(CapacityIntegrator, PiecewiseChanges) {
   integ.set_free(64);
   integ.add_queued(32);
   integ.advance(20.0);              // (64-32) * 10
-  integ.add_free(-64);              // free 0
-  integ.set_queued(0);
+  integ.set_free(0);
+  integ.add_queued(-32);            // queue drained
   integ.advance(30.0);              // 0 * 10
   EXPECT_DOUBLE_EQ(integ.unused_integral(), 1280.0 + 320.0);
 }

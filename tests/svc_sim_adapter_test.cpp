@@ -6,15 +6,17 @@
 // patterns of every aggregate double) for every scheduler × algorithm
 // pairing and for the clock-side feature variants (down-time semantics,
 // queue orders, event queues, checkpointing).
-#include "svc/sim_adapter.hpp"
-
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <optional>
+#include <sstream>
 #include <string>
 
 #include "failure/generator.hpp"
+#include "obs/reader.hpp"
+#include "obs/trace.hpp"
 #include "sim/driver.hpp"
 #include "sim/metrics.hpp"
 #include "workload/synthetic.hpp"
@@ -209,18 +211,49 @@ TEST(SvcSimAdapter, OutcomesAndReplayMatchFrozenDigests) {
   EXPECT_EQ(sim_result_checksum(r), 0x0253734aa5126296ull);
 }
 
-TEST(SvcSimAdapter, ServiceConfigCarriesTheDecisionSideKnobs) {
+// The service owns every §6.1 aggregate, so the sim_end trace line and the
+// SimResult are two views of one set of books. A run with down-time and
+// checkpointing has stale finish and expiry events the clock drops; they
+// must leave no trace in either view.
+TEST(SvcSimAdapter, SimEndAgreesWithSimResult) {
+  const Inputs& in = small_inputs();
   SimConfig config;
-  config.ckpt.enabled = true;
-  config.ckpt.interval = 1800.0;
-  config.snapshot_interval = 7200.0;
-  config.metrics_interval = 3600.0;
   config.failure_semantics = FailureSemantics::kDownFor;
-  const svc::ServiceConfig sc = svc::service_config_from(config);
-  EXPECT_EQ(sc.ckpt, config.ckpt);
-  EXPECT_EQ(sc.snapshot_interval, 7200.0);
-  EXPECT_EQ(sc.metrics_interval, 3600.0);
-  EXPECT_EQ(sc.failure_semantics, FailureSemantics::kDownFor);
+  config.node_downtime = 4.0 * 3600.0;
+  config.ckpt.enabled = true;
+  config.ckpt.interval = 3600.0;
+  std::ostringstream trace;
+  obs::TraceSink sink(trace);
+  config.obs.trace = &sink;
+  const SimResult r = run_simulation(in.workload, in.trace, config);
+  ASSERT_GT(r.job_kills, 0u);
+
+  std::istringstream lines(trace.str());
+  obs::TraceReader reader(lines);
+  obs::TraceRecord record;
+  std::optional<obs::SimEndEvent> end;
+  while (reader.next(record)) {
+    if (record.type() == obs::EventType::kSimEnd) {
+      end = obs::SimEndEvent::from(record);
+    }
+  }
+  ASSERT_TRUE(end.has_value());
+
+  EXPECT_EQ(bits(end->span), bits(r.span));
+  EXPECT_EQ(bits(end->utilization), bits(r.utilization));
+  EXPECT_EQ(bits(end->unused), bits(r.unused));
+  EXPECT_EQ(bits(end->lost), bits(r.lost));
+  EXPECT_EQ(bits(end->work_lost_node_seconds), bits(r.work_lost_node_seconds));
+  EXPECT_EQ(end->jobs_completed, static_cast<std::int64_t>(r.jobs_completed));
+  EXPECT_EQ(end->job_kills, static_cast<std::int64_t>(r.job_kills));
+  EXPECT_EQ(end->migrations, static_cast<std::int64_t>(r.migrations));
+  EXPECT_EQ(end->checkpoints, static_cast<std::int64_t>(r.checkpoints_taken));
+  auto sum_mean = [](const RunningStats& s) {
+    return s.sum() / static_cast<double>(s.count());
+  };
+  EXPECT_EQ(bits(end->avg_wait), bits(sum_mean(r.wait_stats)));
+  EXPECT_EQ(bits(end->avg_response), bits(sum_mean(r.response_stats)));
+  EXPECT_EQ(bits(end->avg_bounded_slowdown), bits(sum_mean(r.slowdown_stats)));
 }
 
 }  // namespace

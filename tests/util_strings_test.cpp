@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/error.hpp"
+
 namespace bgl {
 namespace {
 
@@ -59,6 +63,22 @@ TEST(Strings, ParseDoubleStrict) {
   EXPECT_DOUBLE_EQ(parse_double("-1").value(), -1.0);
   EXPECT_FALSE(parse_double("1.2.3").has_value());
   EXPECT_FALSE(parse_double("abc").has_value());
+}
+
+TEST(Strings, RequireFlagValuesAreStrictAndFinite) {
+  EXPECT_EQ(require_int("--jobs", "12"), 12);
+  EXPECT_DOUBLE_EQ(require_double("--alpha", "0.25"), 0.25);
+  EXPECT_THROW(require_int("--jobs", "1.5"), ConfigError);
+  EXPECT_THROW(require_double("--alpha", "banana"), ConfigError);
+  for (const char* token : {"nan", "inf", "-inf", "NaN", "infinity"}) {
+    try {
+      require_double("--alpha", token);
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("--alpha"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(token), std::string::npos);
+    }
+  }
 }
 
 TEST(Strings, FormatDouble) {

@@ -44,7 +44,6 @@
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/reader.hpp"
-#include "sim/driver.hpp"
 #include "sim/metrics.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
@@ -73,18 +72,6 @@ struct Options {
   std::string server = "./sched_server";
   std::optional<std::string> json_out;
 };
-
-long long require_int(const std::string& flag, const std::string& token) {
-  const auto v = parse_int(token);
-  if (!v) throw ConfigError(flag + " requires an integer, got '" + token + "'");
-  return *v;
-}
-
-double require_double(const std::string& flag, const std::string& token) {
-  const auto v = parse_double(token);
-  if (!v) throw ConfigError(flag + " requires a number, got '" + token + "'");
-  return *v;
-}
 
 Options parse(int argc, char** argv) {
   Options o;
@@ -122,6 +109,9 @@ Options parse(int argc, char** argv) {
       o.algorithm = next();
     } else if (arg == "--alpha") {
       o.alpha = require_double(arg, next());
+      if (o.alpha < 0.0 || o.alpha > 1.0) {
+        throw ConfigError("--alpha must be in [0,1]");
+      }
     } else if (arg == "--queue-order") {
       o.queue_order = next();
     } else if (arg == "--no-backfill") {

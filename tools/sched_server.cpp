@@ -80,18 +80,6 @@ struct Options {
   bool profile = false;
 };
 
-long long require_int(const std::string& flag, const std::string& token) {
-  const auto v = parse_int(token);
-  if (!v) throw ConfigError(flag + " requires an integer, got '" + token + "'");
-  return *v;
-}
-
-double require_double(const std::string& flag, const std::string& token) {
-  const auto v = parse_double(token);
-  if (!v) throw ConfigError(flag + " requires a number, got '" + token + "'");
-  return *v;
-}
-
 Dims require_dims(const std::string& flag, const std::string& token) {
   const auto a = token.find('x');
   const auto b = token.rfind('x');
@@ -112,8 +100,6 @@ Dims require_dims(const std::string& flag, const std::string& token) {
 /// silently (the bug class this server's protocol exists to eliminate).
 Options parse(int argc, char** argv) {
   Options o;
-  o.service.scheduler = SchedulerKind::kKrevat;
-  o.service.predictor_model = PredictorModel::kNone;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {

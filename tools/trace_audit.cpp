@@ -11,6 +11,7 @@
 //   simulate_cli --workload w.swf --failures f.txt --trace-out run.jsonl ...
 //   trace_audit --strict run.jsonl
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -53,8 +54,8 @@ int main(int argc, char** argv) {
       options.strict = true;
     } else if (arg == "--gamma") {
       const auto g = bgl::parse_double(value());
-      if (!g || *g <= 0.0) {
-        std::cerr << "trace_audit: --gamma needs a positive number\n";
+      if (!g || !std::isfinite(*g) || *g <= 0.0) {
+        std::cerr << "trace_audit: --gamma needs a finite positive number\n";
         return 2;
       }
       options.gamma = *g;
