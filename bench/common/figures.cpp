@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -170,12 +171,8 @@ int figure_binary_main(const std::string& name) {
     FigureRunOptions options;
     options.out_dir = bench_out_dir_from_env();
     if (const char* env = std::getenv("BGL_BENCH_THREADS")) {
-      const auto parsed = parse_int(env);
-      if (!parsed || *parsed < 1) {
-        throw ConfigError("BGL_BENCH_THREADS must be an integer >= 1, got '" +
-                          std::string(env) + "'");
-      }
-      options.threads = static_cast<int>(*parsed);
+      options.threads = require_int("BGL_BENCH_THREADS", env, 1,
+                                    std::numeric_limits<int>::max());
     }
     for (const FigureDef& figure : all_figures()) {
       if (figure.name == name) {

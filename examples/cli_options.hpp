@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -57,11 +58,7 @@ inline Options parse_cli_options(int argc, const char* const* argv) {
     if (arg == "--workload") {
       o.workload = next();
     } else if (arg == "--jobs") {
-      const long long n = bgl::require_int(arg, next());
-      if (n < 1) {
-        throw bgl::ConfigError("--jobs must be >= 1, got " + std::to_string(n));
-      }
-      o.jobs = static_cast<int>(n);
+      o.jobs = bgl::require_int(arg, next(), 1, std::numeric_limits<int>::max());
     } else if (arg == "--load") {
       o.load = bgl::require_double(arg, next());
       if (o.load <= 0.0) throw bgl::ConfigError("--load must be positive");

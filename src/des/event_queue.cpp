@@ -23,63 +23,11 @@ const char* to_string(EventType type) {
   return "?";
 }
 
-const char* to_string(EventQueueKind kind) {
-  switch (kind) {
-    case EventQueueKind::kCalendar: return "calendar";
-    case EventQueueKind::kHeap: return "heap";
-  }
-  return "?";
-}
-
-EventQueue::EventQueue(EventQueueKind kind) : kind_(kind) {
-  if (kind_ == EventQueueKind::kCalendar) buckets_.resize(kMinBuckets);
-}
+EventQueue::EventQueue() : buckets_(kMinBuckets) {}
 
 void EventQueue::push(Event event) {
   BGL_CHECK(event.time >= now_, "event scheduled in the past");
   event.seq = next_seq_++;
-  if (kind_ == EventQueueKind::kHeap) {
-    heap_.push(event);
-  } else {
-    cal_push(event);
-  }
-  ++size_;
-}
-
-const Event& EventQueue::top() const {
-  BGL_CHECK(size_ != 0, "top() on empty event queue");
-  if (kind_ == EventQueueKind::kHeap) return heap_.top();
-  if (!min_valid_) cal_find_min();
-  return buckets_[min_bucket_][min_index_];
-}
-
-Event EventQueue::pop() {
-  BGL_CHECK(size_ != 0, "pop() on empty event queue");
-  Event e;
-  if (kind_ == EventQueueKind::kHeap) {
-    e = heap_.top();
-    heap_.pop();
-    --size_;
-  } else {
-    e = cal_pop();
-  }
-  now_ = e.time;
-  return e;
-}
-
-void EventQueue::clear() {
-  heap_ = {};
-  buckets_.clear();
-  if (kind_ == EventQueueKind::kCalendar) buckets_.resize(kMinBuckets);
-  width_ = 1.0;
-  cursor_slot_ = 0;
-  min_valid_ = false;
-  size_ = 0;
-  next_seq_ = 0;
-  now_ = 0.0;
-}
-
-void EventQueue::cal_push(Event event) {
   const std::uint64_t slot = slot_of(event.time);
   // A zero-delay event can land in an earlier slot than the cursor (which
   // sits on the last located minimum); drag the cursor back so the one-year
@@ -92,9 +40,17 @@ void EventQueue::cal_push(Event event) {
     min_index_ = buckets_[bucket].size() - 1;
   }
   if (size_ + 1 > 2 * buckets_.size()) cal_rehash(2 * buckets_.size());
+  ++size_;
 }
 
-Event EventQueue::cal_pop() {
+const Event& EventQueue::top() const {
+  BGL_CHECK(size_ != 0, "top() on empty event queue");
+  if (!min_valid_) cal_find_min();
+  return buckets_[min_bucket_][min_index_];
+}
+
+Event EventQueue::pop() {
+  BGL_CHECK(size_ != 0, "pop() on empty event queue");
   if (!min_valid_) cal_find_min();
   std::vector<Event>& bucket = buckets_[min_bucket_];
   const Event e = bucket[min_index_];
@@ -105,7 +61,18 @@ Event EventQueue::cal_pop() {
   if (buckets_.size() > kMinBuckets && size_ < buckets_.size() / 2) {
     cal_rehash(buckets_.size() / 2);
   }
+  now_ = e.time;
   return e;
+}
+
+void EventQueue::clear() {
+  buckets_.assign(kMinBuckets, {});
+  width_ = 1.0;
+  cursor_slot_ = 0;
+  min_valid_ = false;
+  size_ = 0;
+  next_seq_ = 0;
+  now_ = 0.0;
 }
 
 void EventQueue::cal_find_min() const {

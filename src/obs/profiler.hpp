@@ -41,8 +41,8 @@ enum class Phase : std::size_t {
   kDesEvent = 0,  ///< One event popped by the simulator's DES loop.
   kSvcEvent,      ///< One event handled by SchedulerService.
   kSchedPass,     ///< One Scheduler::schedule() pass (the decision path root).
-  kIndexSync,     ///< Checking the caller's FreePartitionIndex matches the occupancy.
-  kEnumerate,     ///< Free-candidate enumeration (scan or index free-list).
+  kIndexSync,     ///< Service check: FreePartitionIndex == allocations ∪ down.
+  kEnumerate,     ///< Free-candidate enumeration (the index free-list).
   kPlace,         ///< Placing one job: scoring + occupancy/index/live commit.
   kScore,         ///< PlacementPolicy::choose over the candidate list.
   kPredict,       ///< FaultPredictor::flagged_nodes query.

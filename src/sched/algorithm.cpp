@@ -45,8 +45,7 @@ SchedulingPass::SchedulingPass(const PartitionCatalog& catalog,
                                const obs::Observer& obs, double now,
                                const std::vector<WaitingJob>& queue,
                                SchedulerPassScratch& scratch,
-                               PlacementArena* explain_arena,
-                               FreePartitionIndex* index,
+                               FreePartitionIndex& index,
                                SchedulingDecision& decision)
     : catalog_(&catalog),
       policy_(&policy),
@@ -57,8 +56,7 @@ SchedulingPass::SchedulingPass(const PartitionCatalog& catalog,
       now_(now),
       queue_(&queue),
       s_(&scratch),
-      explain_arena_(explain_arena),
-      idx_(index),
+      idx_(&index),
       decision_(&decision),
       placed_(scratch.arena),
       candidates_(scratch.arena) {
@@ -66,8 +64,6 @@ SchedulingPass::SchedulingPass(const PartitionCatalog& catalog,
 }
 
 const std::vector<RunningJob>& SchedulingPass::live() const { return s_->live; }
-
-const NodeSet& SchedulingPass::occupied() const { return s_->occ; }
 
 PlacementArena& SchedulingPass::scratch_arena() { return s_->arena; }
 
@@ -77,16 +73,11 @@ std::vector<Reservation>& SchedulingPass::reservation_scratch() {
 
 // Consult the predictor for a job's execution window, accounting the query
 // (and its verdict size) to the observer. The verdict lands in the pooled
-// s_->flagged (allocation-free in arena mode; the by-value call is the
-// reference behaviour, one fresh NodeSet per query).
+// s_->flagged, so a query allocates nothing.
 const NodeSet& SchedulingPass::query_predictor(const WaitingJob& job) {
   obs::ScopedPhase span(obs_->profiler, obs::Phase::kPredict);
-  if (config_->arena_scratch) {
-    predictor_->flagged_nodes_into(s_->flagged, now_, now_ + job.estimate,
-                                   job.id);
-  } else {
-    s_->flagged = predictor_->flagged_nodes(now_, now_ + job.estimate, job.id);
-  }
+  predictor_->flagged_nodes_into(s_->flagged, now_, now_ + job.estimate,
+                                 job.id);
   if (obs_->counters != nullptr || tracing_) {
     const int n_flagged = s_->flagged.count();
     if (obs_->counters != nullptr) {
@@ -107,11 +98,7 @@ std::span<const int> SchedulingPass::free_candidates(int alloc_size) {
   BGL_CHECK(alloc_size > 0 && alloc_size <= catalog_->num_nodes(),
             "waiting job has invalid alloc size");
   candidates_.clear();
-  if (idx_ != nullptr) {
-    idx_->free_entries_of_size(alloc_size, candidates_);
-  } else {
-    catalog_->free_entries_of_size(s_->occ, alloc_size, candidates_);
-  }
+  idx_->free_entries_of_size(alloc_size, candidates_);
   // Account one free-list scan over the entries of this size that offered
   // candidates_.size() candidates.
   if (obs_->counters != nullptr) {
@@ -132,10 +119,9 @@ void SchedulingPass::place(std::size_t q, std::span<const int> candidates,
 
   PlacementContext ctx;
   ctx.catalog = catalog_;
-  ctx.occupied = &s_->occ;
+  ctx.occupied = &idx_->occupied();
   ctx.index = idx_;
-  ctx.mfp_before_index = idx_ != nullptr ? idx_->first_free_index()
-                                         : catalog_->first_free_index(s_->occ);
+  ctx.mfp_before_index = idx_->first_free_index();
   ctx.mfp_before_size =
       ctx.mfp_before_index < 0 ? 0 : catalog_->entry(ctx.mfp_before_index).size;
   ctx.flagged = &flagged;
@@ -143,7 +129,6 @@ void SchedulingPass::place(std::size_t q, std::span<const int> candidates,
   ctx.pf_rule = config_->pf_rule;
   ctx.job_size = job.size;
   ctx.counters = obs_->counters;
-  ctx.arena = explain_arena_;
 
   PlacementExplain explain;
   int chosen;
@@ -162,8 +147,7 @@ void SchedulingPass::place(std::size_t q, std::span<const int> candidates,
       }
     }
   }
-  s_->occ |= catalog_->entry(chosen).mask;
-  if (idx_ != nullptr) idx_->occupy(catalog_->entry(chosen).mask);
+  idx_->occupy(catalog_->entry(chosen).mask);
   s_->live.push_back(RunningJob{job.id, chosen, now_ + job.estimate});
   if (obs_->counters != nullptr) {
     obs_->counters->add(obs::Counter::kSchedStarts);
@@ -194,19 +178,20 @@ bool SchedulingPass::try_migration(int alloc_size) {
   // live partitions are disjoint, so occupied_after keeps exactly |occ|
   // nodes), hence with fewer free nodes than the head needs try_repack
   // cannot succeed. Checked before the O(live x words) obstacle build.
-  if (catalog_->num_nodes() - s_->occ.count() < alloc_size) return false;
+  const NodeSet& occ = idx_->occupied();
+  if (catalog_->num_nodes() - occ.count() < alloc_size) return false;
   // Occupancy that does not belong to any live job — failed nodes still
   // inside their downtime window — must survive the compaction intact.
   // try_repack rebuilds the occupancy from the re-placed jobs, so without
   // this seed it would silently resurrect down nodes as free space and
   // the retried job (or a backfill filler) could start on them.
-  s_->obstacles = s_->occ;
+  s_->obstacles = occ;
   for (const RunningJob& r : s_->live) {
     s_->obstacles.subtract(catalog_->entry(r.entry_index).mask);
   }
   if (obs_->counters != nullptr) obs_->counters->add(obs::Counter::kSchedRepacks);
   auto repack = try_repack(*catalog_, s_->live, alloc_size, &s_->obstacles,
-                           explain_arena_);
+                           s_->arena);
   if (!repack) return false;
   for (const Migration& m : repack->migrations) {
     // A job started earlier in this same pass has not been committed by the
@@ -225,20 +210,19 @@ bool SchedulingPass::try_migration(int alloc_size) {
     }
     if (!was_started_here) decision_->migrations.push_back(m);
   }
-  s_->occ = std::move(repack->occupied_after);
   s_->live = std::move(repack->running_after);
-  // Compaction rewrote the occupancy wholesale; resync the index with one
-  // rebuild (migration passes are rare and already O(running x catalog) in
-  // try_repack itself). This is the re-pack's commit: the caller applies
-  // the migrations to everything but the index.
-  if (idx_ != nullptr) idx_->reset(s_->occ);
+  // Compaction rewrote the occupancy wholesale; reset the index to it with
+  // one rebuild (migration passes are rare and already O(running x
+  // catalog) in try_repack itself). This is the re-pack's commit: the
+  // caller applies the migrations to everything but the index.
+  idx_->reset(repack->occupied_after);
   return true;
 }
 
 std::optional<Reservation> SchedulingPass::reservation(int alloc_size) const {
   obs::ScopedPhase span(obs_->profiler, obs::Phase::kReservation);
-  return compute_reservation(*catalog_, s_->occ, s_->live, alloc_size, now_,
-                             explain_arena_);
+  return compute_reservation(*catalog_, idx_->occupied(), s_->live,
+                             alloc_size, now_, s_->arena);
 }
 
 void SchedulingPass::note_reservation(std::uint64_t job_id,

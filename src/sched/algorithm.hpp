@@ -6,8 +6,8 @@
 //   placement scoring                          PlacementPolicy (policy.hpp)
 //   fault prediction                           FaultPredictor (predict/)
 //
-// The Scheduler prepares one SchedulingPass — pass-local occupancy, the
-// live-job view, the caller's free-partition index (advanced in place), the
+// The Scheduler prepares one SchedulingPass — the caller's free-partition
+// index (the pass's occupancy, advanced in place), the live-job view, the
 // decision being built, counters/trace plumbing — and hands it to the
 // configured algorithm, which owns only the *discipline*: which queued jobs
 // to try, in what order, and under which reservation constraints. Every mutation goes through the pass
@@ -52,13 +52,12 @@ namespace bgl {
 
 /// Everything one scheduling pass needs that would otherwise be allocated
 /// fresh per decision: the bump arena feeding the int/job scratch arrays, the
-/// three full-width node sets, and the containers whose elements own heap
-/// memory (Reservation masks) and therefore stay std::vector. With
-/// config.arena_scratch the engine keeps one of these across passes; without
-/// it a fresh local instance reproduces the pre-arena allocating behaviour.
+/// two full-width node sets, and the containers whose elements own heap
+/// memory (Reservation masks) and therefore stay std::vector. The engine
+/// keeps one of these across passes, so the steady-state pass allocates
+/// nothing.
 struct SchedulerPassScratch {
   PlacementArena arena;
-  NodeSet occ;        ///< Pass-local occupancy (occupied + this pass's starts).
   NodeSet flagged;    ///< Predictor verdict for the job under consideration.
   NodeSet obstacles;  ///< Non-job occupancy seeded into migration re-packs.
   std::vector<RunningJob> live;
@@ -66,17 +65,17 @@ struct SchedulerPassScratch {
 };
 
 /// One scheduling pass: the engine-owned state an algorithm drives. All
-/// mutation of the decision / occupancy / index happens through the methods
-/// here, which also keep the observability contract (counters, histograms,
-/// audit records) identical across algorithms.
+/// mutation of the decision / index (the occupancy) happens through the
+/// methods here, which also keep the observability contract (counters,
+/// histograms, audit records) identical across algorithms.
 class SchedulingPass {
  public:
   SchedulingPass(const PartitionCatalog& catalog, PlacementPolicy& policy,
                  const FaultPredictor& predictor, const SchedulerConfig& config,
                  const obs::Observer& obs, double now,
                  const std::vector<WaitingJob>& queue,
-                 SchedulerPassScratch& scratch, PlacementArena* explain_arena,
-                 FreePartitionIndex* index, SchedulingDecision& decision);
+                 SchedulerPassScratch& scratch, FreePartitionIndex& index,
+                 SchedulingDecision& decision);
 
   SchedulingPass(const SchedulingPass&) = delete;
   SchedulingPass& operator=(const SchedulingPass&) = delete;
@@ -88,17 +87,14 @@ class SchedulingPass {
   const SchedulerConfig& config() const { return *config_; }
   /// Running jobs plus everything started earlier in this pass.
   const std::vector<RunningJob>& live() const;
-  /// Pass-local occupancy (occupied + this pass's starts).
-  const NodeSet& occupied() const;
+  /// Current occupancy: the index's, which already holds this pass's
+  /// starts and any re-pack.
+  const NodeSet& occupied() const { return idx_->occupied(); }
   bool placed(std::size_t q) const { return placed_[q] != 0; }
 
-  /// The per-decision bump arena backing short-lived algorithm scratch
-  /// (always valid — non-arena mode uses the throwaway local scratch's).
+  /// The per-decision bump arena backing short-lived scratch: the
+  /// algorithms', compute_reservation's and try_repack's.
   PlacementArena& scratch_arena();
-  /// The arena handed to compute_reservation / try_repack / the policy:
-  /// null when config().arena_scratch is off (the allocating reference
-  /// behaviour the perf gate measures against).
-  PlacementArena* explain_arena() const { return explain_arena_; }
   /// Pooled reservation scratch (elements own heap masks, so it stays a
   /// std::vector reused across passes).
   std::vector<Reservation>& reservation_scratch();
@@ -110,13 +106,13 @@ class SchedulingPass {
   obs::PhaseProfiler* profiler() const { return obs_->profiler; }
 
   // --- actions ---
-  /// Enumerate the free partitions of `alloc_size` into an internal scratch
-  /// list (via the incremental index when present, catalog scans otherwise)
-  /// and account the scan. The span is valid until the next call.
+  /// Enumerate the free partitions of `alloc_size` from the index into an
+  /// internal scratch list and account the scan. The span is valid until
+  /// the next call.
   std::span<const int> free_candidates(int alloc_size);
 
   /// Score `candidates` with the placement policy and commit the winner:
-  /// occupancy, index, live set, counters, histogram, audit record. Marks
+  /// index, live set, counters, histogram, audit record. Marks
   /// queue position `q` placed. `res`, when non-null, is the binding
   /// reservation the placement was admitted against (recorded on the
   /// PlacementRecord so the trace carries reservation provenance).
@@ -125,7 +121,7 @@ class SchedulingPass {
 
   /// One compaction attempt for a blocked job of `alloc_size` — at most one
   /// per pass, and only when config().migration is on and jobs are live.
-  /// On success the occupancy/live/index are rewritten (and same-pass
+  /// On success the index and live set are rewritten (and same-pass
   /// starts re-pointed); the caller should retry the blocked job.
   bool try_migration(int alloc_size);
 
@@ -148,7 +144,6 @@ class SchedulingPass {
   double now_;
   const std::vector<WaitingJob>* queue_;
   SchedulerPassScratch* s_;
-  PlacementArena* explain_arena_;
   FreePartitionIndex* idx_;
   SchedulingDecision* decision_;
   ArenaVector<char> placed_;

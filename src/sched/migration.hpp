@@ -27,10 +27,9 @@ struct RepackResult {
 /// `obstacles`, when non-null, marks nodes that are busy for reasons other
 /// than a running job — failed nodes still inside their downtime window —
 /// and that the packer must route around; they are seeded into the scratch
-/// occupancy and carried through into `occupied_after`.
-/// `arena`, when non-null, supplies the sort/candidate scratch buffers (the
-/// engine passes its per-decision arena); with nullptr they come from the
-/// heap, which is the pre-arena reference behaviour.
+/// occupancy and carried through into `occupied_after`. `arena` supplies
+/// the sort/candidate scratch buffers (the engine passes its per-decision
+/// arena).
 /// Returns nullopt if the greedy packing fails or still leaves no room.
 ///
 /// Capacity bound: a re-pack moves jobs but never frees a node, so when
@@ -42,7 +41,7 @@ struct RepackResult {
 std::optional<RepackResult> try_repack(const PartitionCatalog& catalog,
                                        const std::vector<RunningJob>& running,
                                        int head_alloc_size,
-                                       const NodeSet* obstacles = nullptr,
-                                       PlacementArena* arena = nullptr);
+                                       const NodeSet* obstacles,
+                                       PlacementArena& arena);
 
 }  // namespace bgl

@@ -115,36 +115,29 @@ int TieBreakPolicy::choose(const PlacementContext& ctx,
                            PlacementExplain* explain) const {
   BGL_CHECK(!candidates.empty(), "policy invoked with no candidates");
   BGL_CHECK(ctx.flagged != nullptr, "tie-break policy requires predictor flags");
-  // Pass 1: the optimal (maximal) resulting MFP, exactly as Krevat's policy.
-  // The per-candidate score buffer comes from the decision arena when the
-  // engine provides one; the heap fallback is the reference behaviour.
+  // One pass: the optimal (maximal) resulting MFP, exactly as Krevat's
+  // policy, and among the candidates tied at it the first the predictor does
+  // not flag; if all are flagged, the first optimum (arbitrary choice). A
+  // higher MFP restarts both picks.
   int best_mfp = -1;
-  std::vector<int> heap_mfps;
-  int* mfps;
-  if (ctx.arena != nullptr) {
-    mfps = ctx.arena->alloc<int>(candidates.size());
-  } else {
-    heap_mfps.resize(candidates.size());
-    mfps = heap_mfps.data();
-  }
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    mfps[i] = mfp_after(ctx, candidates[i]);
-    if (mfps[i] > best_mfp) best_mfp = mfps[i];
-  }
-  // Pass 2: among the tied optima, the first candidate the predictor does
-  // not flag; if all are flagged, the first optimum (arbitrary choice).
-  int fallback = -1;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (mfps[i] != best_mfp) continue;
-    const auto& entry = ctx.catalog->entry(candidates[i]);
-    if (!entry.mask.intersects(*ctx.flagged)) {
-      explain_choice(ctx, candidates[i], best_mfp, explain);
-      return candidates[i];
+  int first_optimum = -1;
+  int first_unflagged = -1;
+  for (const int c : candidates) {
+    const int m = mfp_after(ctx, c);
+    if (m < best_mfp) continue;
+    if (m > best_mfp) {
+      best_mfp = m;
+      first_optimum = c;
+      first_unflagged = -1;
     }
-    if (fallback < 0) fallback = candidates[i];
+    if (first_unflagged < 0 &&
+        !ctx.catalog->entry(c).mask.intersects(*ctx.flagged)) {
+      first_unflagged = c;
+    }
   }
-  explain_choice(ctx, fallback, best_mfp, explain);
-  return fallback;
+  const int chosen = first_unflagged >= 0 ? first_unflagged : first_optimum;
+  explain_choice(ctx, chosen, best_mfp, explain);
+  return chosen;
 }
 
 }  // namespace bgl

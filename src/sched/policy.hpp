@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "sched/arena.hpp"
 #include "sched/types.hpp"
 #include "torus/catalog.hpp"
 #include "torus/index.hpp"
@@ -37,13 +36,13 @@ class CounterRegistry;
 
 struct PlacementContext {
   const PartitionCatalog* catalog = nullptr;
-  const NodeSet* occupied = nullptr;   ///< Current occupancy (scratch view).
-  /// Incremental free-partition view synced to *occupied (nullable). When
-  /// set, policies answer mfp_after via the index's candidate overlay
-  /// (only entries free under the base occupancy are tested against the
-  /// candidate mask) instead of rescanning the catalog. Answers are
-  /// bit-for-bit identical either way; the catalog scan stays as the
-  /// reference path.
+  const NodeSet* occupied = nullptr;   ///< Current occupancy.
+  /// Incremental free-partition view synced to *occupied (nullable). The
+  /// engine always sets it, and policies then answer mfp_after via the
+  /// index's candidate overlay (only entries free under the base occupancy
+  /// are tested against the candidate mask). It stays nullable for
+  /// try_repack's packer, which scores against its own scratch occupancy
+  /// with catalog scans; both give bit-for-bit identical answers.
   const FreePartitionIndex* index = nullptr;
   int mfp_before_index = -1;           ///< first_free_index(occupied).
   int mfp_before_size = 0;             ///< MFP size before placing the job.
@@ -52,10 +51,6 @@ struct PlacementContext {
   PartitionFailureRule pf_rule = PartitionFailureRule::kProduct;
   int job_size = 1;                    ///< s_j (requested, not rounded).
   obs::CounterRegistry* counters = nullptr;  ///< Hot-path stats (nullable).
-  /// Per-decision scratch arena (nullable). Policies draw their score
-  /// buffers from it when present; with nullptr they fall back to heap
-  /// allocation (the pre-arena reference behaviour).
-  PlacementArena* arena = nullptr;
 };
 
 /// Why a policy chose the candidate it chose: the loss terms of the chosen

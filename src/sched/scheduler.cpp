@@ -26,7 +26,8 @@ Scheduler::Scheduler(const PartitionCatalog& catalog,
       policy_(std::move(policy)),
       predictor_(&predictor),
       config_(config),
-      algorithm_(make_scheduling_algorithm(config.algorithm)) {
+      algorithm_(make_scheduling_algorithm(config.algorithm)),
+      pass_scratch_(std::make_unique<SchedulerPassScratch>()) {
   BGL_CHECK(policy_ != nullptr, "scheduler requires a placement policy");
   BGL_CHECK(config_.backfill_depth >= 0, "backfill depth must be non-negative");
 }
@@ -37,8 +38,7 @@ std::string Scheduler::algorithm_name() const { return algorithm_->name(); }
 
 SchedulingDecision Scheduler::schedule(double now, const std::vector<WaitingJob>& queue,
                                        const std::vector<RunningJob>& running,
-                                       const NodeSet& occupied,
-                                       FreePartitionIndex* index) const {
+                                       FreePartitionIndex& index) const {
   // Decision latency feeds both the counter (total ns) and the histogram
   // (per-decision µs); time manually so one clock read serves both.
   // schedule() has a single return, so no scope guard is needed.
@@ -56,33 +56,15 @@ SchedulingDecision Scheduler::schedule(double now, const std::vector<WaitingJob>
 
   SchedulingDecision decision;
 
-  // Scratch selection: the pooled member in arena mode (steady state: zero
-  // heap allocations per pass), a throwaway local otherwise (every buffer
-  // below allocates fresh — the reference cost profile the perf gate
-  // measures against).
-  SchedulerPassScratch local;
-  if (config_.arena_scratch && pass_scratch_ == nullptr) {
-    pass_scratch_ = std::make_unique<SchedulerPassScratch>();
-  }
-  SchedulerPassScratch& s = config_.arena_scratch ? *pass_scratch_ : local;
-  PlacementArena* arena = config_.arena_scratch ? &s.arena : nullptr;
+  SchedulerPassScratch& s = *pass_scratch_;
   s.arena.reset();
-  s.occ = occupied;  // copy-assign reuses the pooled buffer when widths match
   s.live.assign(running.begin(), running.end());
 
-  // The caller's index is advanced in place, in lockstep with the
-  // pass-local `s.occ`; it must start from the same occupancy.
-  if (index != nullptr) {
-    obs::ScopedPhase sync_span(prof, obs::Phase::kIndexSync);
-    BGL_CHECK(index->occupied() == occupied,
-              "free-partition index out of sync with occupancy");
-  }
-
-  // The configured algorithm drives the pass; every commit — occupancy,
-  // index, live set, counters, audit records — goes through SchedulingPass
-  // so the observability contract is discipline-independent.
+  // The configured algorithm drives the pass; every commit — index, live
+  // set, counters, audit records — goes through SchedulingPass so the
+  // observability contract is discipline-independent.
   SchedulingPass pass(*catalog_, *policy_, *predictor_, config_, obs_, now,
-                      queue, s, arena, index, decision);
+                      queue, s, index, decision);
   algorithm_->run(pass);
 
   if (prof != nullptr) prof->end();

@@ -16,9 +16,9 @@
 // is a function of (now, queue, running, occupancy). It prepares the pass
 // scratch, hands a SchedulingPass to the configured algorithm, and accounts
 // the pass-level timing. The caller (SchedulerService) owns all scheduling
-// state and commits the returned decision; the one piece of that state the
-// pass writes is the caller's free-partition index, which it advances in
-// place to the post-decision occupancy.
+// state and commits the returned decision. The occupancy the pass reads is
+// the caller's free-partition index, the one piece of that state the pass
+// writes: it advances the index in place to the post-decision occupancy.
 #pragma once
 
 #include <memory>
@@ -30,6 +30,7 @@
 #include "sched/policy.hpp"
 #include "sched/types.hpp"
 #include "torus/catalog.hpp"
+#include "torus/index.hpp"
 
 namespace bgl {
 
@@ -44,24 +45,18 @@ class Scheduler {
 
   /// Decide which jobs to start (and which running jobs to migrate) at time
   /// `now`. `queue` must be in FCFS priority order; `running` carries the
-  /// current partition and estimated finish of every executing job;
-  /// `occupied` is the current occupancy mask (consistent with `running`).
+  /// current partition and estimated finish of every executing job.
   ///
-  /// `index` (nullable) is an incremental free-partition view that must be
-  /// synced to `occupied` (checked). When provided, the pass answers
-  /// candidate enumeration and every MFP query through it instead of
-  /// scanning the catalog, and advances it in place: each start occupies
-  /// its partition and a migration re-pack resets it to the re-packed
-  /// occupancy. On return it holds the post-decision occupancy — `occupied`
-  /// with the decision's migrations and starts applied — so the caller
-  /// commits the decision to everything but the index. Decisions are
-  /// bit-for-bit identical with and without the index (the scan path
-  /// remains the reference implementation and the differential tests hold
-  /// both up against each other).
+  /// `index` is the current occupancy: every running job's partition plus
+  /// any node blocked for another reason (down). The pass answers candidate
+  /// enumeration and every MFP query through it and advances it in place:
+  /// each start occupies its partition and a migration re-pack resets it to
+  /// the re-packed occupancy. On return it holds the post-decision
+  /// occupancy, so the caller commits the decision to everything but the
+  /// index.
   SchedulingDecision schedule(double now, const std::vector<WaitingJob>& queue,
                               const std::vector<RunningJob>& running,
-                              const NodeSet& occupied,
-                              FreePartitionIndex* index = nullptr) const;
+                              FreePartitionIndex& index) const;
 
   const SchedulerConfig& config() const { return config_; }
   std::string name() const { return policy_->name(); }
@@ -82,11 +77,11 @@ class Scheduler {
   /// The configured discipline (config_.algorithm), stateless across passes.
   std::unique_ptr<ISchedulingAlgorithm> algorithm_;
   obs::Observer obs_{};
-  /// Pooled per-pass scratch (arena + occupancy/flag sets + live-job copy),
-  /// reused across schedule() calls when config_.arena_scratch is set so the
-  /// steady-state pass performs no heap allocation. Purely a cache: it is
-  /// overwritten from the call's inputs before any read.
-  mutable std::unique_ptr<SchedulerPassScratch> pass_scratch_;
+  /// Pooled per-pass scratch (arena + flag sets + live-job copy), reused
+  /// across schedule() calls so the steady-state pass performs no heap
+  /// allocation. Purely a cache: it is overwritten from the call's inputs
+  /// before any read.
+  const std::unique_ptr<SchedulerPassScratch> pass_scratch_;
 };
 
 /// Factory helpers for the three paper schedulers.

@@ -20,7 +20,6 @@
 // (CheckpointConfig) and node down-time after a failure (kDownFor).
 #pragma once
 
-#include "des/event_queue.hpp"
 #include "failure/trace.hpp"
 #include "sim/metrics.hpp"
 #include "svc/config.hpp"
@@ -29,7 +28,7 @@
 
 namespace bgl {
 
-/// The service's configuration plus the four knobs only the clock reads.
+/// The service's configuration plus the three knobs only the clock reads.
 struct SimConfig : svc::ServiceConfig {
   /// The paper's setup: balancing fed by the §4 simulated predictor. These
   /// are the only defaults that differ from ServiceConfig's, because an
@@ -40,10 +39,6 @@ struct SimConfig : svc::ServiceConfig {
     predictor_model = PredictorModel::kPaper;
   }
 
-  /// Pending-event store. The calendar queue is O(1) amortised; the binary
-  /// heap is the reference for perf baselines and differential tests. Event
-  /// order, and so every trace and metric, is identical for both.
-  EventQueueKind event_queue = EventQueueKind::kCalendar;
   double node_downtime = 0.0;  ///< Seconds a node stays down (kDownFor).
   bool collect_outcomes = false;  ///< Fill SimResult::outcomes.
   /// Fill SimResult::replay, a structured event log for offline validation,

@@ -75,10 +75,6 @@ struct ServiceConfig {
   /// victims. Event-level "down":true always applies the down overlay.
   FailureSemantics failure_semantics = FailureSemantics::kTransient;
   std::uint64_t seed = 1;  ///< Salts the tie-breaking predictor's coins.
-  /// Answer MFP and candidate queries from an incremental FreePartitionIndex
-  /// instead of catalog scans. Decisions are bit-identical either way; off
-  /// only for the scan-based reference path.
-  bool use_partition_index = true;
   /// Trace sink, counters, histograms and profiler; all borrowed, nullable
   /// and free when detached (docs/OBSERVABILITY.md).
   obs::Observer obs;

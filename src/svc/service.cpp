@@ -24,6 +24,18 @@ namespace {
 /// num_nodes jobs per pass plus examine backfill_depth fillers.
 constexpr std::size_t kQueueViewCap = 512;
 
+/// True when `u` is exactly a | b (all three the same width). No early
+/// exit: the check runs before every pass and almost always holds, and a
+/// branch-free loop vectorizes.
+bool is_union_of(const NodeSet& u, const NodeSet& a, const NodeSet& b) {
+  const NodeSet::WordSpan uw = u.words();
+  const NodeSet::WordSpan aw = a.words();
+  const NodeSet::WordSpan bw = b.words();
+  std::uint64_t diff = 0;
+  for (std::size_t w = 0; w < uw.size(); ++w) diff |= uw[w] ^ (aw[w] | bw[w]);
+  return diff == 0;
+}
+
 }  // namespace
 
 SchedulerService::SchedulerService(const ServiceConfig& config,
@@ -36,6 +48,7 @@ SchedulerService::SchedulerService(const ServiceConfig& config,
                                                 config.catalog)),
       catalog_(shared_catalog ? shared_catalog : owned_catalog_.get()),
       torus_(*catalog_),
+      index_(*catalog_),
       down_(config.dims.volume()),
       tr_(config.obs.trace),
       hg_(config.obs.histograms),
@@ -43,9 +56,6 @@ SchedulerService::SchedulerService(const ServiceConfig& config,
   BGL_CHECK(catalog_->dims() == config.dims, "shared catalog dims mismatch");
   BGL_CHECK(catalog_->topology() == config.topology,
             "shared catalog topology mismatch");
-  if (config_.use_partition_index) {
-    index_ = std::make_unique<FreePartitionIndex>(*catalog_);
-  }
   if (tr_ != nullptr && config_.metrics_interval > 0.0) {
     decision_ring_ = std::make_unique<obs::LatencyRing>();
   }
@@ -84,18 +94,8 @@ void SchedulerService::build_scheduler(const FailureTrace* oracle) {
   scheduler_->set_observer(config_.obs);
 }
 
-NodeSet SchedulerService::scheduling_occupancy() const {
-  if (down_count_ == 0) return torus_.occupied();
-  NodeSet occ = torus_.occupied();
-  occ |= down_;
-  return occ;
-}
-
 int SchedulerService::usable_free_nodes() const {
-  if (down_count_ == 0) return torus_.free_nodes();
-  NodeSet busy = torus_.occupied();
-  busy |= down_;
-  return catalog_->num_nodes() - busy.count();
+  return catalog_->num_nodes() - index_.occupied().count();
 }
 
 void SchedulerService::ensure_begin(double t) {
@@ -136,9 +136,6 @@ void SchedulerService::ensure_begin(double t) {
     begin.field("catalog", to_string(catalog_->options().mode))
         .field("min_block", catalog_->options().min_block);
   }
-  if (!census_.event_queue.empty()) {
-    begin.field("event_queue", census_.event_queue);
-  }
   if (config_.sched.algorithm != SchedAlgorithm::kKrevat) {
     begin.field("algorithm", to_string(config_.sched.algorithm));
   }
@@ -168,8 +165,7 @@ void SchedulerService::emit_snapshots_until(double horizon) {
 }
 
 void SchedulerService::emit_machine_state(double t) {
-  const NodeSet occ = scheduling_occupancy();
-  const int mfp = index_ != nullptr ? index_->mfp() : catalog_->mfp(occ);
+  const int mfp = index_.mfp();
   const int free = usable_free_nodes();
   const double frag =
       free > 0 ? 1.0 - static_cast<double>(mfp) / static_cast<double>(free)
@@ -336,13 +332,20 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     running.push_back(RunningJob{j->id, j->entry, j->last_start + j->estimate});
   }
 
-  const NodeSet occ = scheduling_occupancy();
+  // The index is the one occupancy the pass reads; it must equal what the
+  // two other owners say is busy: the torus allocations and the down
+  // overlay.
+  {
+    obs::ScopedPhase sync_span(config_.obs.profiler, obs::Phase::kIndexSync);
+    BGL_CHECK(is_union_of(index_.occupied(), torus_.occupied(), down_),
+              "free-partition index out of sync with allocations and down nodes");
+  }
   // Wall-clock pass latency feeds the metrics window (p50/p99/max per
   // interval); the clock is read only when metrics emission is on.
   std::chrono::steady_clock::time_point m_begin;
   if (decision_ring_ != nullptr) m_begin = std::chrono::steady_clock::now();
   const SchedulingDecision decision =
-      scheduler_->schedule(now, waiting, running, occ, index_.get());
+      scheduler_->schedule(now, waiting, running, index_);
   ++m_decisions_;
   if (decision_ring_ != nullptr) {
     const std::chrono::duration<double, std::micro> us =
@@ -668,7 +671,7 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
     down_.set(e.node);
     // No-op if a victim still holds the node; the victim's release keeps it
     // blocked because index_release subtracts the down overlay.
-    if (index_ != nullptr) index_->occupy_node(e.node);
+    index_.occupy_node(e.node);
   }
   if (!victims.empty()) ++stats_.failures_hitting_jobs;
   for (const std::uint64_t id : victims) {
@@ -696,7 +699,7 @@ void SchedulerService::on_repair(const Event& e, std::vector<Decision>& out,
   --down_count_;
   // The node cannot be allocated while down, so releasing it in the index
   // exactly undoes the failure-time block.
-  if (index_ != nullptr) index_->release_node(e.node);
+  index_.release_node(e.node);
   integrator_.set_free(usable_free_nodes());
   run_pass(e.time, out);
 }

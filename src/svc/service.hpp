@@ -63,9 +63,6 @@ namespace bgl::svc {
 struct StreamCensus {
   std::int64_t jobs = 0;
   std::int64_t failure_events = 0;
-  /// Pending-event store of the driving clock when it is not the default
-  /// calendar queue ("heap"); empty otherwise and for live streams.
-  std::string event_queue;
 };
 
 /// Counts the service accumulates across a session (for summary() and the
@@ -170,7 +167,6 @@ class SchedulerService {
   void run_pass(double now, std::vector<Decision>& out);
   void kill_job(JobRec& job, double now, int node, std::vector<Decision>& out);
   void release_allocation(JobRec& job);
-  NodeSet scheduling_occupancy() const;
 
   void on_submit(const Event& e, std::vector<Decision>& out, std::size_t line);
   void on_complete(const Event& e, std::vector<Decision>& out, std::size_t line);
@@ -188,13 +184,12 @@ class SchedulerService {
   /// released (a kill caused by a down failure frees the partition while
   /// the failed node stays in the overlay).
   void index_release(const NodeSet& mask) {
-    if (index_ == nullptr) return;
     if (down_count_ == 0) {
-      index_->release(mask);
+      index_.release(mask);
     } else {
       NodeSet m = mask;
       m.subtract(down_);
-      index_->release(m);
+      index_.release(m);
     }
   }
 
@@ -202,9 +197,11 @@ class SchedulerService {
   std::unique_ptr<PartitionCatalog> owned_catalog_;
   const PartitionCatalog* catalog_;
   TorusOccupancy torus_;
+  /// The scheduling occupancy: torus allocations plus down nodes. Every
+  /// pass reads and advances it; run_pass checks it against both owners.
+  FreePartitionIndex index_;
   std::unique_ptr<FaultPredictor> predictor_;
   std::unique_ptr<Scheduler> scheduler_;
-  std::unique_ptr<FreePartitionIndex> index_;
 
   // The map is consulted once per event or decision; the queue comparator
   // and the per-pass views follow the pointers (element addresses in an

@@ -49,7 +49,6 @@ class Simulation {
         trace_(trace),
         service_(config, &trace, shared_catalog),
         clock_(workload.jobs.size()),
-        events_(config.event_queue),
         down_until_(static_cast<std::size_t>(config.dims.volume()), 0.0) {
     BGL_CHECK(trace.empty() || trace.num_nodes() == config.dims.volume(),
               "failure trace node count mismatch");
@@ -187,9 +186,6 @@ SimResult Simulation::run() {
   StreamCensus census;
   census.jobs = static_cast<std::int64_t>(total);
   census.failure_events = static_cast<std::int64_t>(trace_.size());
-  if (config_.event_queue != EventQueueKind::kCalendar) {
-    census.event_queue = to_string(config_.event_queue);
-  }
   service_.announce(census);
 
   obs::CounterRegistry* ct = config_.obs.counters;

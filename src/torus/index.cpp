@@ -15,9 +15,6 @@ FreePartitionIndex::FreePartitionIndex(const PartitionCatalog& catalog)
     : catalog_(&catalog), occ_(catalog.num_nodes()) {
   const int nodes = catalog.num_nodes();
   const int entries = catalog.num_entries();
-  // full_width_scans keeps the per-node walk alone: the reference path the
-  // perf gates and the fuzz twins compare against.
-  const bool word_layout = !catalog.options().full_width_scans;
 
   auto layout = std::make_shared<Layout>();
   layout->node_offsets.assign(static_cast<std::size_t>(nodes) + 1, 0);
@@ -47,55 +44,53 @@ FreePartitionIndex::FreePartitionIndex(const PartitionCatalog& catalog)
 
   // The word-level inverted index (same counting-sort shape): every
   // (entry, nonzero mask word) pair, keyed by word.
-  if (word_layout) {
-    const std::size_t nwords = occ_.words().size();
-    layout->word_offsets.assign(nwords + 1, 0);
-    for (int e = 0; e < entries; ++e) {
-      const auto& entry = catalog.entry(e);
-      const NodeSet::WordSpan mask = entry.mask.words();
-      for (std::size_t w = entry.word_begin; w < entry.word_end; ++w) {
-        if (mask[w] != 0) ++layout->word_offsets[w + 1];
-      }
+  const std::size_t nwords = occ_.words().size();
+  layout->word_offsets.assign(nwords + 1, 0);
+  for (int e = 0; e < entries; ++e) {
+    const auto& entry = catalog.entry(e);
+    const NodeSet::WordSpan mask = entry.mask.words();
+    for (std::size_t w = entry.word_begin; w < entry.word_end; ++w) {
+      if (mask[w] != 0) ++layout->word_offsets[w + 1];
     }
-    for (std::size_t w = 0; w < nwords; ++w) {
-      layout->word_offsets[w + 1] += layout->word_offsets[w];
+  }
+  for (std::size_t w = 0; w < nwords; ++w) {
+    layout->word_offsets[w + 1] += layout->word_offsets[w];
+  }
+  layout->word_entries.resize(
+      static_cast<std::size_t>(layout->word_offsets.back()));
+  layout->word_masks.resize(layout->word_entries.size());
+  std::vector<std::int32_t> word_cursor(layout->word_offsets.begin(),
+                                        layout->word_offsets.end() - 1);
+  for (int e = 0; e < entries; ++e) {
+    const auto& entry = catalog.entry(e);
+    const NodeSet::WordSpan mask = entry.mask.words();
+    for (std::size_t w = entry.word_begin; w < entry.word_end; ++w) {
+      if (mask[w] == 0) continue;
+      const auto slot = static_cast<std::size_t>(word_cursor[w]++);
+      layout->word_entries[slot] = e;
+      layout->word_masks[slot] = mask[w];
     }
-    layout->word_entries.resize(
-        static_cast<std::size_t>(layout->word_offsets.back()));
-    layout->word_masks.resize(layout->word_entries.size());
-    std::vector<std::int32_t> word_cursor(layout->word_offsets.begin(),
-                                          layout->word_offsets.end() - 1);
-    for (int e = 0; e < entries; ++e) {
-      const auto& entry = catalog.entry(e);
-      const NodeSet::WordSpan mask = entry.mask.words();
-      for (std::size_t w = entry.word_begin; w < entry.word_end; ++w) {
-        if (mask[w] == 0) continue;
-        const auto slot = static_cast<std::size_t>(word_cursor[w]++);
-        layout->word_entries[slot] = e;
-        layout->word_masks[slot] = mask[w];
-      }
-    }
-    // Per word, the delta popcount k from which the word walk is no dearer
-    // than the node walk: k x (mean entries per node in the word) >= entries
-    // covering the word. The paper's box catalog crosses over at k = 6
-    // (1421 entries per node, 7943 per word); the full-scale block catalog
-    // at k = 1 (9 either way).
-    layout->word_walk_from.resize(nwords);
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::size_t first_node = w * 64;
-      const std::size_t last_node =
-          std::min(first_node + 64, static_cast<std::size_t>(nodes));
-      const std::int64_t node_cover =
-          layout->node_offsets[last_node] - layout->node_offsets[first_node];
-      const std::int64_t word_cost =
-          static_cast<std::int64_t>(layout->word_offsets[w + 1] -
-                                    layout->word_offsets[w]) *
-          static_cast<std::int64_t>(last_node - first_node);
-      const std::int64_t from =
-          node_cover == 0 ? 1 : (word_cost + node_cover - 1) / node_cover;
-      layout->word_walk_from[w] =
-          static_cast<std::uint8_t>(std::clamp<std::int64_t>(from, 1, 65));
-    }
+  }
+  // Per word, the delta popcount k from which the word walk is no dearer
+  // than the node walk: k x (mean entries per node in the word) >= entries
+  // covering the word. The paper's box catalog crosses over at k = 6
+  // (1421 entries per node, 7943 per word); the full-scale block catalog
+  // at k = 1 (9 either way).
+  layout->word_walk_from.resize(nwords);
+  for (std::size_t w = 0; w < nwords; ++w) {
+    const std::size_t first_node = w * 64;
+    const std::size_t last_node =
+        std::min(first_node + 64, static_cast<std::size_t>(nodes));
+    const std::int64_t node_cover =
+        layout->node_offsets[last_node] - layout->node_offsets[first_node];
+    const std::int64_t word_cost =
+        static_cast<std::int64_t>(layout->word_offsets[w + 1] -
+                                  layout->word_offsets[w]) *
+        static_cast<std::int64_t>(last_node - first_node);
+    const std::int64_t from =
+        node_cover == 0 ? 1 : (word_cost + node_cover - 1) / node_cover;
+    layout->word_walk_from[w] =
+        static_cast<std::uint8_t>(std::clamp<std::int64_t>(from, 1, 65));
   }
   layout_ = std::move(layout);
 
@@ -162,8 +157,7 @@ void FreePartitionIndex::remove_node(int node) {
 }
 
 bool FreePartitionIndex::word_walk(std::size_t w, std::uint64_t delta) const {
-  return !layout_->word_walk_from.empty() &&
-         std::popcount(delta) >= layout_->word_walk_from[w];
+  return std::popcount(delta) >= layout_->word_walk_from[w];
 }
 
 void FreePartitionIndex::occupy_node(int node) {
@@ -265,15 +259,12 @@ int FreePartitionIndex::first_free_index(int start_index) const {
 int FreePartitionIndex::first_free_index_with(const NodeSet& extra,
                                               int start_index) const {
   const int entries = catalog_->num_entries();
-  const bool full_width = catalog_->options().full_width_scans;
   const NodeSet::WordSpan extra_words = extra.words();
   int i = first_free_index(start_index);
   while (i >= 0 && i < entries) {
     const auto& entry = catalog_->entry(i);
     bool free = true;
-    if (full_width) {
-      free = !extra.intersects(entry.mask);
-    } else if (entry.solid) {
+    if (entry.solid) {
       free = !extra.any_in_word_range(entry.word_begin, entry.word_end);
     } else {
       const NodeSet::WordSpan mask_words = entry.mask.words();

@@ -32,9 +32,10 @@
 // differential fuzz harness (tests/torus_index_fuzz_test.cpp) drives
 // random delta sequences against it.
 //
-// Ownership: the service owns one index and the scheduler advances it in
-// place as a pass commits starts and repacks, so each delta is applied
-// exactly once. The CSR layout is immutable and shared between copies
+// Ownership: the service owns one index, and it is the occupancy every
+// scheduling pass reads — allocations plus down nodes. The scheduler
+// advances it in place as a pass commits starts and repacks, so each delta
+// is applied exactly once. The CSR layout is immutable and shared between copies
 // (shared_ptr); copying an index copies only its mutable counters.
 #pragma once
 
@@ -132,9 +133,7 @@ class FreePartitionIndex {
   /// and sparse delta words) and per-word (dense delta words — one popcount
   /// per covering entry instead of one counter update per node and entry).
   /// word_walk_from[w] is the delta popcount from which word w's word walk
-  /// is no dearer than its node walk. The per-word arrays are built for
-  /// every catalog except full_width_scans ones, which keep the per-node
-  /// walk alone as the reference path.
+  /// is no dearer than its node walk.
   struct Layout {
     std::vector<std::int32_t> node_offsets;  ///< CSR offsets, nodes + 1.
     std::vector<std::int32_t> node_entries;  ///< Covering entry indices.

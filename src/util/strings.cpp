@@ -84,6 +84,16 @@ long long require_int(std::string_view flag, std::string_view token) {
   return *v;
 }
 
+int require_int(std::string_view flag, std::string_view token, int lo, int hi) {
+  const long long v = require_int(flag, token);
+  if (v < lo || v > hi) {
+    throw ConfigError(std::string(flag) + " must be in [" + std::to_string(lo) +
+                      ", " + std::to_string(hi) + "], got '" +
+                      std::string(token) + "'");
+  }
+  return static_cast<int>(v);
+}
+
 double require_double(std::string_view flag, std::string_view token) {
   const auto v = parse_double(token);
   if (!v || !std::isfinite(*v)) {

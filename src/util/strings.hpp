@@ -34,6 +34,11 @@ std::optional<double> parse_double(std::string_view token);
 long long require_int(std::string_view flag, std::string_view token);
 double require_double(std::string_view flag, std::string_view token);
 
+/// An int-typed flag value: require_int, then a check that it lies in
+/// [lo, hi] before it is narrowed, so an out-of-range value (say 2^32 + 1)
+/// is refused instead of wrapping. Throws ConfigError naming the flag.
+int require_int(std::string_view flag, std::string_view token, int lo, int hi);
+
 /// printf-like double formatting with fixed precision.
 std::string format_double(double value, int precision);
 

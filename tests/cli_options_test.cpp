@@ -90,6 +90,9 @@ TEST(CliOptions, MissingValuesAndUnknownFlagsAreHardErrors) {
 
 TEST(CliOptions, DomainChecks) {
   EXPECT_NE(error_of({"--jobs", "0"}).find("--jobs"), std::string::npos);
+  // Past 2^32 the value would wrap to 1 if narrowed before the check.
+  EXPECT_NE(error_of({"--jobs", "4294967297"}).find("--jobs"),
+            std::string::npos);
   EXPECT_NE(error_of({"--load", "-1"}).find("--load"), std::string::npos);
   EXPECT_NE(error_of({"--alpha", "1.5"}).find("--alpha"), std::string::npos);
   EXPECT_NE(error_of({"--failures", "-2"}).find("--failures"),

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -120,19 +123,26 @@ TEST(Engine, MaxEventsBound) {
   EXPECT_EQ(count, 3);
 }
 
-TEST(EventQueueKindNames, AllNamed) {
-  EXPECT_STREQ(to_string(EventQueueKind::kCalendar), "calendar");
-  EXPECT_STREQ(to_string(EventQueueKind::kHeap), "heap");
-}
+// The reference the calendar queue is held against: a binary heap over the
+// same EventAfter order, stamping seq the way EventQueue::push does.
+class HeapQueue {
+ public:
+  void push(Event event) {
+    event.seq = next_seq_++;
+    heap_.push(event);
+  }
+  const Event& top() const { return heap_.top(); }
+  Event pop() {
+    const Event e = heap_.top();
+    heap_.pop();
+    return e;
+  }
+  bool empty() const { return heap_.empty(); }
 
-TEST(EventQueue, HeapReferenceKindSelectable) {
-  EventQueue q(EventQueueKind::kHeap);
-  EXPECT_EQ(q.kind(), EventQueueKind::kHeap);
-  q.push(Event{2.0, EventType::kArrival, 1, 0, 0});
-  q.push(Event{1.0, EventType::kFinish, 2, 0, 0});
-  EXPECT_EQ(q.pop().id, 2u);
-  EXPECT_EQ(q.pop().id, 1u);
-}
+ private:
+  std::priority_queue<Event, std::vector<Event>, EventAfter> heap_;
+  std::uint64_t next_seq_ = 0;
+};
 
 // Differential fuzz: the calendar queue must pop the exact event sequence of
 // the binary-heap reference — time, semantic type, and FIFO seq included —
@@ -143,8 +153,8 @@ TEST(EventQueueFuzz, CalendarMatchesHeapDifferential) {
   constexpr int kOpsPerSeed = 5000;
   for (const std::uint64_t seed : {11ULL, 23ULL, 47ULL}) {
     Rng rng(seed);
-    EventQueue cal(EventQueueKind::kCalendar);
-    EventQueue heap(EventQueueKind::kHeap);
+    EventQueue cal;
+    HeapQueue heap;
     std::uint64_t next_id = 0;
     std::size_t pending = 0;
 

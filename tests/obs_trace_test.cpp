@@ -244,9 +244,9 @@ TEST(TraceObs, DisabledObserverProducesNoAuditRecords) {
   const auto scheduler = make_krevat_scheduler(catalog, predictor);
 
   const std::vector<WaitingJob> queue = {WaitingJob{0, 64, 64, 100.0}};
-  const NodeSet occupied(catalog.num_nodes());
+  FreePartitionIndex index(catalog);  // empty machine
   const SchedulingDecision decision =
-      scheduler->schedule(0.0, queue, {}, occupied);
+      scheduler->schedule(0.0, queue, {}, index);
   ASSERT_EQ(decision.starts.size(), 1u);
   EXPECT_TRUE(decision.placements.empty());
   EXPECT_TRUE(decision.predictor_queries.empty());
@@ -266,9 +266,9 @@ TEST(TraceObs, TracingObserverAuditsEveryStart) {
 
   const std::vector<WaitingJob> queue = {WaitingJob{0, 64, 64, 100.0},
                                          WaitingJob{1, 64, 64, 100.0}};
-  const NodeSet occupied(catalog.num_nodes());
+  FreePartitionIndex index(catalog);  // empty machine
   const SchedulingDecision decision =
-      scheduler->schedule(0.0, queue, {}, occupied);
+      scheduler->schedule(0.0, queue, {}, index);
   ASSERT_EQ(decision.starts.size(), 2u);
   ASSERT_EQ(decision.placements.size(), 2u);
   EXPECT_EQ(decision.predictor_queries.size(), 2u);

@@ -1,9 +1,7 @@
-// End-to-end equivalence and observability of the scale-up machinery: the
-// optimized engine (calendar event queue, pooled arena scratch, word-range
-// scan kernels, bulk index deltas) must replay a trace decision-for-
-// decision identically to the pre-optimization reference configuration;
-// full-scale block-catalog traces must carry the new sim_begin fields and
-// pass the strict auditor.
+// End-to-end pins and observability of the scale-up machinery: a 16^3
+// block-catalog run must reproduce its frozen SimResult digest; full-scale
+// block-catalog traces must carry the new sim_begin fields and pass the
+// strict auditor.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -45,48 +43,22 @@ SimConfig scale_config() {
   return config;
 }
 
-// Every optimization this pass introduced, toggled off together — the
-// perf gate's reference configuration — must change nothing observable.
-TEST(ScaleEquivalence, OptimizedAndReferenceEnginesMatchExactly) {
+// Block-catalog decisions, pinned: the 16^3 run's SimResult digest,
+// identical with and without a trace attached. Any change to the engine's
+// block-catalog path (scan kernels, index deltas, scratch) that moves a
+// decision changes it.
+TEST(ScaleEquivalence, BlockCatalogRunMatchesFrozenChecksum) {
   const Inputs in = make_inputs(250, 16 * 16 * 16, 4242);
-
-  const SimConfig optimized = scale_config();
-  SimConfig reference = scale_config();
-  reference.event_queue = EventQueueKind::kHeap;
-  reference.sched.arena_scratch = false;
-  reference.catalog.full_width_scans = true;
-
-  std::ostringstream opt_trace, ref_trace;
-  obs::TraceSink opt_sink(opt_trace), ref_sink(ref_trace);
-  SimConfig a = optimized, b = reference;
-  a.obs.trace = &opt_sink;
-  b.obs.trace = &ref_sink;
-  const SimResult ra = run_simulation(in.workload, in.trace, a);
-  const SimResult rb = run_simulation(in.workload, in.trace, b);
-
-  EXPECT_EQ(ra.jobs_completed, rb.jobs_completed);
-  EXPECT_EQ(ra.avg_wait, rb.avg_wait);
-  EXPECT_EQ(ra.utilization, rb.utilization);
-
-  // Byte-identical traces apart from the sim_begin configuration fields
-  // (the reference announces its non-default queue/scan knobs) and host
-  // wall-clock stamps, which we strip line by line.
-  auto strip = [](const std::string& text) {
-    std::istringstream lines(text);
-    std::ostringstream out;
-    std::string line;
-    while (std::getline(lines, line)) {
-      const auto wall = line.find("\"wall_us\":");
-      if (wall != std::string::npos) {
-        const auto end = line.find_first_of(",}", wall + 10);
-        line.erase(wall, end - wall);
-      }
-      if (line.find("\"type\":\"sim_begin\"") != std::string::npos) continue;
-      out << line << '\n';
-    }
-    return out.str();
-  };
-  EXPECT_EQ(strip(opt_trace.str()), strip(ref_trace.str()));
+  std::ostringstream text;
+  obs::TraceSink sink(text);
+  SimConfig traced = scale_config();
+  traced.obs.trace = &sink;
+  const SimResult untraced_result =
+      run_simulation(in.workload, in.trace, scale_config());
+  const SimResult traced_result = run_simulation(in.workload, in.trace, traced);
+  EXPECT_EQ(sim_result_checksum(untraced_result), 0x28bff0ee758df777ull);
+  EXPECT_EQ(sim_result_checksum(traced_result), 0x28bff0ee758df777ull);
+  EXPECT_EQ(untraced_result.jobs_completed, in.workload.jobs.size());
 }
 
 TEST(ScaleTrace, SimBeginAnnouncesNonDefaultEngineConfig) {
@@ -96,7 +68,6 @@ TEST(ScaleTrace, SimBeginAnnouncesNonDefaultEngineConfig) {
   {
     obs::TraceSink sink(text);
     SimConfig config = scale_config();
-    config.event_queue = EventQueueKind::kHeap;
     config.obs.trace = &sink;
     run_simulation(in.workload, in.trace, config);
   }
@@ -107,12 +78,11 @@ TEST(ScaleTrace, SimBeginAnnouncesNonDefaultEngineConfig) {
   const obs::SimBeginEvent begin = obs::SimBeginEvent::from(record);
   EXPECT_EQ(begin.catalog, "blocks");
   EXPECT_EQ(begin.min_block, 16);
-  EXPECT_EQ(begin.event_queue, "heap");
 }
 
 TEST(ScaleTrace, SimBeginOmitsDefaultEngineConfig) {
-  // Default engine (boxes catalog, calendar queue) at paper scale: the new
-  // fields must be absent so pre-existing traces stay byte-identical.
+  // Default engine (boxes catalog) at paper scale: the new fields must be
+  // absent so pre-existing traces stay byte-identical.
   const Inputs in = make_inputs(40, 128, 7);
   std::ostringstream text;
   {
@@ -123,7 +93,6 @@ TEST(ScaleTrace, SimBeginOmitsDefaultEngineConfig) {
   }
   const std::string first = text.str().substr(0, text.str().find('\n'));
   EXPECT_EQ(first.find("\"catalog\""), std::string::npos);
-  EXPECT_EQ(first.find("\"event_queue\""), std::string::npos);
   std::istringstream stream2(text.str());
   obs::TraceReader reader(stream2);
   obs::TraceRecord record;
@@ -131,7 +100,6 @@ TEST(ScaleTrace, SimBeginOmitsDefaultEngineConfig) {
   const obs::SimBeginEvent begin = obs::SimBeginEvent::from(record);
   EXPECT_EQ(begin.catalog, "");
   EXPECT_EQ(begin.min_block, 0);
-  EXPECT_EQ(begin.event_queue, "");
 }
 
 TEST(ScaleAudit, BlockCatalogTracePassesStrictAudit) {

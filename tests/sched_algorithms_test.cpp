@@ -119,7 +119,9 @@ TracedRun run_pass(const Scenario& sc, SchedulerConfig config) {
   obs.trace = &sink;
   sched.set_observer(obs);
   TracedRun run;
-  run.decision = sched.schedule(sc.now, sc.queue, sc.running, sc.occupied);
+  FreePartitionIndex index(catalog());
+  index.occupy(sc.occupied);
+  run.decision = sched.schedule(sc.now, sc.queue, sc.running, index);
   run.trace_text = out.str();
   return run;
 }

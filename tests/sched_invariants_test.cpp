@@ -104,12 +104,17 @@ TEST_P(SchedulerInvariants, HoldOnRandomScenarios) {
 
   for (int trial = 0; trial < 40; ++trial) {
     const Scenario sc = random_scenario(rng);
+    // Each pass advances its index in place, so each gets a fresh one.
+    FreePartitionIndex index(catalog());
+    index.occupy(sc.occupied);
     const SchedulingDecision decision =
-        scheduler->schedule(sc.now, sc.queue, sc.running, sc.occupied);
+        scheduler->schedule(sc.now, sc.queue, sc.running, index);
 
     // Determinism: identical inputs give identical decisions.
+    FreePartitionIndex again_index(catalog());
+    again_index.occupy(sc.occupied);
     const SchedulingDecision again =
-        scheduler->schedule(sc.now, sc.queue, sc.running, sc.occupied);
+        scheduler->schedule(sc.now, sc.queue, sc.running, again_index);
     ASSERT_EQ(decision.starts.size(), again.starts.size());
     for (std::size_t i = 0; i < decision.starts.size(); ++i) {
       EXPECT_EQ(decision.starts[i].id, again.starts[i].id);
@@ -158,6 +163,9 @@ TEST_P(SchedulerInvariants, HoldOnRandomScenarios) {
       EXPECT_FALSE(entry.mask.intersects(occ_after)) << "overlapping start";
       occ_after |= entry.mask;
     }
+
+    // The pass leaves its index at exactly the post-decision occupancy.
+    EXPECT_EQ(index.occupied(), occ_after) << "index not advanced in place";
 
     // FCFS integrity without backfill: started ids form a queue prefix.
     if (param.backfill == BackfillMode::kNone) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "obs/counters.hpp"
+#include "torus/index.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -366,6 +369,95 @@ TEST(TieBreakPolicy, NoFlagsPicksAnMfpOptimum) {
   const auto ctx = make_ctx(s.occ, flags, 1.0, 8);
   const int chosen = tiebreak.choose(ctx, {s.splinter, s.clean});
   EXPECT_EQ(chosen, s.clean);
+}
+
+// Property: the single-pass TieBreakPolicy::choose equals the exhaustive
+// two-pass reference below (pass 1: the best MFP over all candidates; pass
+// 2: the first unflagged candidate at it, else the first at it) on random
+// occupancy, flags and candidate lists — the choice, its explain record,
+// and the number of MFP evaluations it spent.
+TEST(TieBreakPolicy, SinglePassMatchesTwoPassReference) {
+  Rng rng(0x71EB);
+  const int sizes[] = {1, 2, 4, 8, 16, 32};
+  int trials_run = 0;
+  int fallbacks = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    NodeSet occ(128);
+    const double density = rng.uniform(0.0, 0.6);
+    for (int i = 0; i < 128; ++i) {
+      if (rng.bernoulli(density)) occ.set(i);
+    }
+    NodeSet flags(128);
+    const double flag_density = rng.bernoulli(0.2) ? 1.0 : rng.uniform(0.0, 0.3);
+    for (int i = 0; i < 128; ++i) {
+      if (rng.bernoulli(flag_density)) flags.set(i);
+    }
+    const int size = sizes[rng.uniform_int(0, 5)];
+    std::vector<int> candidates;
+    catalog().free_entries_of_size(occ, size, candidates);
+    if (candidates.empty()) continue;
+    ++trials_run;
+
+    // Reference, on plain catalog scans from the policy's own hint.
+    PlacementContext ctx = make_ctx(occ, flags, rng.uniform(), size);
+    const int hint = std::max(ctx.mfp_before_index, 0);
+    std::vector<int> mfps;
+    int best_mfp = -1;
+    for (const int c : candidates) {
+      mfps.push_back(catalog().mfp_with(occ, catalog().entry(c).mask, hint));
+      best_mfp = std::max(best_mfp, mfps.back());
+    }
+    int expected = -1;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (mfps[i] != best_mfp) continue;
+      if (!catalog().entry(candidates[i]).mask.intersects(flags)) {
+        expected = candidates[i];
+        break;
+      }
+    }
+    if (expected < 0) {
+      ++fallbacks;
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        if (mfps[i] == best_mfp) {
+          expected = candidates[i];
+          break;
+        }
+      }
+    }
+    const int expected_flags =
+        catalog().entry(expected).mask.intersect_count(flags);
+    const double expected_l_mfp =
+        static_cast<double>(ctx.mfp_before_size - best_mfp);
+    const double expected_l_pf =
+        partition_failure_probability(expected_flags, ctx.confidence,
+                                      ctx.pf_rule) *
+        static_cast<double>(size);
+
+    // The policy, through the index on odd trials and the scans on even.
+    FreePartitionIndex index(catalog());
+    index.occupy(occ);
+    if (trial % 2 == 1) ctx.index = &index;
+    obs::CounterRegistry counters;
+    ctx.counters = &counters;
+    PlacementExplain explain;
+    const int chosen = TieBreakPolicy().choose(ctx, candidates, &explain);
+
+    EXPECT_EQ(chosen, expected) << "trial " << trial;
+    EXPECT_EQ(explain.mfp_after, best_mfp) << "trial " << trial;
+    EXPECT_EQ(explain.flags, expected_flags) << "trial " << trial;
+    EXPECT_EQ(explain.l_mfp, expected_l_mfp) << "trial " << trial;
+    EXPECT_EQ(explain.l_pf, expected_l_pf) << "trial " << trial;
+    EXPECT_EQ(explain.e_loss, expected_l_mfp + expected_l_pf)
+        << "trial " << trial;
+    EXPECT_EQ(counters.value(obs::Counter::kMfpEvaluations),
+              candidates.size())
+        << "trial " << trial;
+  }
+  // Not vacuous: many trials ran, and both the unflagged pick and the
+  // all-flagged fallback occurred.
+  EXPECT_GT(trials_run, 150);
+  EXPECT_GT(fallbacks, 10);
+  EXPECT_LT(fallbacks, trials_run);
 }
 
 }  // namespace

@@ -6,12 +6,16 @@
 // replay randomized machine states through both the frozen loop and the
 // seam-hosted default algorithm and require byte-equal decisions, audit
 // records and counters across the whole config grid — backfill modes,
-// migration, arena on/off, indexed and scan paths, all three policies.
+// migration, all three policies — with the frozen loop on catalog scans and
+// the engine on its free-partition index.
 //
 // Do not "fix" or modernise the reference when the engine changes: its
 // whole value is that it does NOT follow refactors. If a deliberate
 // behaviour change lands, regenerate the reference from the last commit
-// before the change and say so in the commit message.
+// before the change and say so in the commit message. The one kind of edit
+// it takes is at the call sites of an engine parameter that no longer
+// exists: the scratch arena is now always passed (it was optional, selected
+// by a SchedulerConfig field) and the PlacementContext carries no arena.
 #include "sched/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -66,7 +70,6 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
 
   RefScratch local;
   RefScratch& s = local;
-  PlacementArena* arena = config.arena_scratch ? &s.arena : nullptr;
   s.arena.reset();
   s.occ = occupied;
   s.live.assign(running.begin(), running.end());
@@ -88,8 +91,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
   }
 
   auto make_context = [&](const NodeSet& o, const NodeSet& flagged,
-                          int job_size, const FreePartitionIndex* ix,
-                          PlacementArena* ar) {
+                          int job_size, const FreePartitionIndex* ix) {
     PlacementContext ctx;
     ctx.catalog = &cat;
     ctx.occupied = &o;
@@ -103,16 +105,11 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
     ctx.pf_rule = config.pf_rule;
     ctx.job_size = job_size;
     ctx.counters = obs.counters;
-    ctx.arena = ar;
     return ctx;
   };
 
   auto query_predictor = [&](const WaitingJob& job) -> const NodeSet& {
-    if (config.arena_scratch) {
-      predictor.flagged_nodes_into(s.flagged, now, now + job.estimate, job.id);
-    } else {
-      s.flagged = predictor.flagged_nodes(now, now + job.estimate, job.id);
-    }
+    predictor.flagged_nodes_into(s.flagged, now, now + job.estimate, job.id);
     if (obs.counters != nullptr || tracing) {
       const int n_flagged = s.flagged.count();
       if (obs.counters != nullptr) {
@@ -188,7 +185,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
     note_scan(job.alloc_size, candidates.size());
     if (!candidates.empty()) {
       const NodeSet& flagged = query_predictor(job);
-      const PlacementContext ctx = make_context(occ, flagged, job.size, idx, arena);
+      const PlacementContext ctx = make_context(occ, flagged, job.size, idx);
       PlacementExplain explain;
       const int chosen =
           policy.choose(ctx, candidates, tracing ? &explain : nullptr);
@@ -205,7 +202,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
         s.obstacles.subtract(cat.entry(r.entry_index).mask);
       }
       if (auto repack =
-              try_repack(cat, live, job.alloc_size, &s.obstacles, arena)) {
+              try_repack(cat, live, job.alloc_size, &s.obstacles, s.arena)) {
         for (const Migration& m : repack->migrations) {
           bool was_started_here = false;
           for (std::size_t s_i = 0; s_i < decision.starts.size(); ++s_i) {
@@ -238,7 +235,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
            ++q) {
         if (placed[q]) continue;
         auto r = compute_reservation(cat, occ, live, queue[q].alloc_size, now,
-                                     arena);
+                                     s.arena);
         if (!r) {
           if (q == head) break;
           continue;
@@ -278,7 +275,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
         if (allowed.empty()) continue;
         const NodeSet& flagged = query_predictor(filler);
         const PlacementContext ctx =
-            make_context(occ, flagged, filler.size, idx, arena);
+            make_context(occ, flagged, filler.size, idx);
         PlacementExplain explain;
         const int chosen =
             policy.choose(ctx, allowed, tracing ? &explain : nullptr);
@@ -438,71 +435,62 @@ TEST(SeamReference, DefaultAlgorithmMatchesFrozenLoopAcrossConfigGrid) {
            {BackfillMode::kNone, BackfillMode::kEasy,
             BackfillMode::kConservative}) {
         for (const bool migration : {false, true}) {
-          for (const bool arena : {false, true}) {
-            SchedulerConfig config;
-            config.backfill = backfill;
-            config.migration = migration;
-            config.arena_scratch = arena;
-            config.backfill_depth = 8;
-            config.reservation_depth = 3;
+          SchedulerConfig config;
+          config.backfill = backfill;
+          config.migration = migration;
+          config.backfill_depth = 8;
+          config.reservation_depth = 3;
 
-            std::ostringstream ref_trace, eng_trace;
-            obs::TraceSink ref_sink(ref_trace), eng_sink(eng_trace);
-            obs::CounterRegistry ref_counters, eng_counters;
-            obs::Observer ref_obs, eng_obs;
-            ref_obs.trace = &ref_sink;
-            ref_obs.counters = &ref_counters;
-            eng_obs.trace = &eng_sink;
-            eng_obs.counters = &eng_counters;
+          std::ostringstream ref_trace, eng_trace;
+          obs::TraceSink ref_sink(ref_trace), eng_sink(eng_trace);
+          obs::CounterRegistry ref_counters, eng_counters;
+          obs::Observer ref_obs, eng_obs;
+          ref_obs.trace = &ref_sink;
+          ref_obs.counters = &ref_counters;
+          eng_obs.trace = &eng_sink;
+          eng_obs.counters = &eng_counters;
 
-            auto ref_policy = pc.make_policy();
-            const SchedulingDecision expected = reference_schedule(
-                catalog(), *ref_policy, predictor, config, ref_obs, sc.now,
-                sc.queue, sc.running, sc.occupied, nullptr);
+          auto ref_policy = pc.make_policy();
+          const SchedulingDecision expected = reference_schedule(
+              catalog(), *ref_policy, predictor, config, ref_obs, sc.now,
+              sc.queue, sc.running, sc.occupied, nullptr);
 
-            Scheduler engine(catalog(), pc.make_policy(), predictor, config);
-            engine.set_observer(eng_obs);
-            const SchedulingDecision got = engine.schedule(
-                sc.now, sc.queue, sc.running, sc.occupied, nullptr);
+          Scheduler engine(catalog(), pc.make_policy(), predictor, config);
+          engine.set_observer(eng_obs);
+          FreePartitionIndex index(catalog());
+          index.reset(sc.occupied);
+          const SchedulingDecision got =
+              engine.schedule(sc.now, sc.queue, sc.running, index);
 
-            const std::string label = std::string(pc.label) + "/bf" +
-                                      std::to_string(static_cast<int>(backfill)) +
-                                      "/mig" + std::to_string(migration) +
-                                      "/arena" + std::to_string(arena) +
-                                      "/scenario" + std::to_string(scenario_i);
-            expect_equal(expected, got, label.c_str());
-            for (const obs::Counter c : kComparedCounters) {
-              EXPECT_EQ(ref_counters.value(c), eng_counters.value(c)) << label;
-            }
-
-            // The indexed path must match the scan path bit-for-bit too.
-            FreePartitionIndex index(catalog());
-            index.reset(sc.occupied);
-            const SchedulingDecision indexed = engine.schedule(
-                sc.now, sc.queue, sc.running, sc.occupied, &index);
-            expect_equal(expected, indexed, (label + "/indexed").c_str());
-
-            // The pass advances the caller's index in place: it must end on
-            // the post-decision occupancy (migrations moved, starts added),
-            // the state the caller commits everywhere else.
-            NodeSet after = sc.occupied;
-            for (const Migration& m : indexed.migrations) {
-              after.subtract(catalog().entry(m.from_entry).mask);
-            }
-            for (const Migration& m : indexed.migrations) {
-              after |= catalog().entry(m.to_entry).mask;
-            }
-            for (const Start& s : indexed.starts) {
-              after |= catalog().entry(s.entry_index).mask;
-            }
-            EXPECT_EQ(index.occupied(), after) << label << "/indexed";
-            EXPECT_NO_THROW(index.check_invariants()) << label << "/indexed";
-
-            for (const PlacementRecord& p : got.placements) {
-              if (p.backfill) ++backfill_passes_seen;
-            }
-            migrations_seen += static_cast<int>(got.migrations.size());
+          const std::string label = std::string(pc.label) + "/bf" +
+                                    std::to_string(static_cast<int>(backfill)) +
+                                    "/mig" + std::to_string(migration) +
+                                    "/scenario" + std::to_string(scenario_i);
+          expect_equal(expected, got, label.c_str());
+          for (const obs::Counter c : kComparedCounters) {
+            EXPECT_EQ(ref_counters.value(c), eng_counters.value(c)) << label;
           }
+
+          // The pass advances the caller's index in place: it must end on
+          // the post-decision occupancy (migrations moved, starts added),
+          // the state the caller commits everywhere else.
+          NodeSet after = sc.occupied;
+          for (const Migration& m : got.migrations) {
+            after.subtract(catalog().entry(m.from_entry).mask);
+          }
+          for (const Migration& m : got.migrations) {
+            after |= catalog().entry(m.to_entry).mask;
+          }
+          for (const Start& s : got.starts) {
+            after |= catalog().entry(s.entry_index).mask;
+          }
+          EXPECT_EQ(index.occupied(), after) << label;
+          EXPECT_NO_THROW(index.check_invariants()) << label;
+
+          for (const PlacementRecord& p : got.placements) {
+            if (p.backfill) ++backfill_passes_seen;
+          }
+          migrations_seen += static_cast<int>(got.migrations.size());
         }
       }
     }

@@ -28,10 +28,15 @@ int entry_of_box(const Box& box) {
   return -1;
 }
 
-NodeSet occ_of(const std::vector<RunningJob>& running) {
-  NodeSet occ(128);
-  for (const RunningJob& r : running) occ |= catalog().entry(r.entry_index).mask;
-  return occ;
+/// One pass at t = 0 against a fresh index holding `running`'s partitions.
+SchedulingDecision schedule_on(const Scheduler& sched,
+                               const std::vector<WaitingJob>& queue,
+                               const std::vector<RunningJob>& running) {
+  FreePartitionIndex index(catalog());
+  for (const RunningJob& r : running) {
+    index.occupy(catalog().entry(r.entry_index).mask);
+  }
+  return sched.schedule(0.0, queue, running, index);
 }
 
 TEST(Scheduler, StartsEveryJobThatFitsFcfs) {
@@ -42,7 +47,7 @@ TEST(Scheduler, StartsEveryJobThatFitsFcfs) {
       WaitingJob{1, 32, 32, 100.0},
       WaitingJob{2, 32, 32, 100.0},
   };
-  const auto decision = sched->schedule(0.0, queue, {}, NodeSet(128));
+  const auto decision = schedule_on(*sched, queue, {});
   ASSERT_EQ(decision.starts.size(), 3u);
   EXPECT_TRUE(decision.migrations.empty());
   // Starts respect queue order.
@@ -72,7 +77,7 @@ TEST(Scheduler, HeadBlockedStopsFcfsWithoutBackfill) {
       WaitingJob{0, 128, 128, 100.0},
       WaitingJob{1, 8, 8, 100.0},
   };
-  const auto decision = sched->schedule(0.0, queue, running, occ_of(running));
+  const auto decision = schedule_on(*sched, queue, running);
   EXPECT_TRUE(decision.starts.empty());  // strict FCFS blocks everyone
 }
 
@@ -90,7 +95,7 @@ TEST(Scheduler, BackfillStartsShortJobBehindBlockedHead) {
       WaitingJob{0, 128, 128, 2000.0},
       WaitingJob{1, 8, 8, 500.0},
   };
-  const auto decision = sched->schedule(0.0, queue, running, occ_of(running));
+  const auto decision = schedule_on(*sched, queue, running);
   ASSERT_EQ(decision.starts.size(), 1u);
   EXPECT_EQ(decision.starts[0].id, 1u);
 }
@@ -111,7 +116,7 @@ TEST(Scheduler, BackfillNeverDelaysHeadReservation) {
       WaitingJob{0, 128, 128, 2000.0},
       WaitingJob{1, 64, 64, 5000.0},
   };
-  const auto decision = sched->schedule(0.0, queue, running, occ_of(running));
+  const auto decision = schedule_on(*sched, queue, running);
   EXPECT_TRUE(decision.starts.empty());
 }
 
@@ -146,7 +151,7 @@ TEST(Scheduler, BackfillUsesDisjointPartitionForLongFiller) {
       WaitingJob{1, 32, 32, 8000.0},
       WaitingJob{2, 32, 32, 10000.0},
   };
-  const auto decision = sched->schedule(0.0, queue, running2, occ_of(running2));
+  const auto decision = schedule_on(*sched, queue, running2);
   ASSERT_EQ(decision.starts.size(), 1u);
   EXPECT_EQ(decision.starts[0].id, 1u);
 }
@@ -163,7 +168,7 @@ TEST(Scheduler, MigrationCompactsForBlockedHead) {
   const std::vector<RunningJob> running = {RunningJob{10, a, 100.0},
                                            RunningJob{11, b, 200.0}};
   const std::vector<WaitingJob> queue = {WaitingJob{0, 64, 64, 300.0}};
-  const auto decision = sched->schedule(0.0, queue, running, occ_of(running));
+  const auto decision = schedule_on(*sched, queue, running);
   ASSERT_EQ(decision.starts.size(), 1u);
   EXPECT_EQ(decision.starts[0].id, 0u);
   EXPECT_FALSE(decision.migrations.empty());
@@ -195,7 +200,7 @@ TEST(Scheduler, MigrationSkipsRepackWhenHeadCannotFitByCount) {
       RunningJob{12, entry_of_box(Box{Coord{0, 0, 3}, Triple{4, 2, 1}}), 300.0}};
   const std::vector<WaitingJob> queue = {WaitingJob{0, 64, 64, 300.0}};
   for (int pass = 1; pass <= 3; ++pass) {
-    const auto decision = sched->schedule(0.0, queue, full, occ_of(full));
+    const auto decision = schedule_on(*sched, queue, full);
     EXPECT_TRUE(decision.starts.empty());
     EXPECT_TRUE(decision.migrations.empty());
     // Every pass still records its one attempt in the sched.migration span...
@@ -210,7 +215,7 @@ TEST(Scheduler, MigrationSkipsRepackWhenHeadCannotFitByCount) {
   const std::vector<RunningJob> split = {
       RunningJob{10, entry_of_box(Box{Coord{0, 0, 0}, Triple{4, 4, 2}}), 100.0},
       RunningJob{11, entry_of_box(Box{Coord{0, 0, 4}, Triple{4, 4, 2}}), 200.0}};
-  const auto decision = sched->schedule(0.0, queue, split, occ_of(split));
+  const auto decision = schedule_on(*sched, queue, split);
   EXPECT_EQ(decision.starts.size(), 1u);
   EXPECT_EQ(profiler.count(obs::Phase::kMigration), 4u);
   EXPECT_EQ(counters.value(obs::Counter::kSchedRepacks), 1u);
@@ -228,7 +233,7 @@ TEST(Scheduler, MigrationDisabledLeavesHeadBlocked) {
   const std::vector<RunningJob> running = {RunningJob{10, a, 100.0},
                                            RunningJob{11, b, 200.0}};
   const std::vector<WaitingJob> queue = {WaitingJob{0, 64, 64, 300.0}};
-  const auto decision = sched->schedule(0.0, queue, running, occ_of(running));
+  const auto decision = schedule_on(*sched, queue, running);
   EXPECT_TRUE(decision.starts.empty());
   EXPECT_TRUE(decision.migrations.empty());
 }
@@ -241,7 +246,7 @@ TEST(Scheduler, BalancingWithPerfectPredictionAvoidsDoomedPartition) {
   const auto sched = make_balancing_scheduler(catalog(), predictor);
 
   const std::vector<WaitingJob> queue = {WaitingJob{0, 64, 64, 100.0}};
-  const auto decision = sched->schedule(0.0, queue, {}, NodeSet(128));
+  const auto decision = schedule_on(*sched, queue, {});
   ASSERT_EQ(decision.starts.size(), 1u);
   EXPECT_FALSE(catalog().entry(decision.starts[0].entry_index).mask.test(5));
 }
@@ -252,7 +257,7 @@ TEST(Scheduler, TieBreakWithPerfectAccuracyAvoidsDoomedPartition) {
   const auto sched = make_tiebreak_scheduler(catalog(), predictor);
 
   const std::vector<WaitingJob> queue = {WaitingJob{0, 64, 64, 100.0}};
-  const auto decision = sched->schedule(0.0, queue, {}, NodeSet(128));
+  const auto decision = schedule_on(*sched, queue, {});
   ASSERT_EQ(decision.starts.size(), 1u);
   EXPECT_FALSE(catalog().entry(decision.starts[0].entry_index).mask.test(5));
 }
@@ -263,8 +268,8 @@ TEST(Scheduler, SchedulerIsPureFunctionOfInputs) {
   const auto sched = make_tiebreak_scheduler(catalog(), predictor);
   const std::vector<WaitingJob> queue = {WaitingJob{0, 32, 32, 100.0},
                                          WaitingJob{1, 32, 32, 200.0}};
-  const auto d1 = sched->schedule(0.0, queue, {}, NodeSet(128));
-  const auto d2 = sched->schedule(0.0, queue, {}, NodeSet(128));
+  const auto d1 = schedule_on(*sched, queue, {});
+  const auto d2 = schedule_on(*sched, queue, {});
   ASSERT_EQ(d1.starts.size(), d2.starts.size());
   for (std::size_t i = 0; i < d1.starts.size(); ++i) {
     EXPECT_EQ(d1.starts[i].entry_index, d2.starts[i].entry_index);
@@ -307,12 +312,11 @@ TEST(Scheduler, RepackRewritesPendingStartAndItsPlacementRecord) {
   SchedulerConfig no_migration = config;
   no_migration.migration = false;
   const auto plain = make_krevat_scheduler(catalog(), predictor, no_migration);
-  const auto undisturbed =
-      plain->schedule(0.0, queue, running, occ_of(running));
+  const auto undisturbed = schedule_on(*plain, queue, running);
   ASSERT_EQ(undisturbed.starts.size(), 1u);
   const int original_entry = undisturbed.starts[0].entry_index;
 
-  const auto decision = sched->schedule(0.0, queue, running, occ_of(running));
+  const auto decision = schedule_on(*sched, queue, running);
   ASSERT_EQ(decision.starts.size(), 2u);
   EXPECT_EQ(decision.starts[0].id, 0u);
   EXPECT_EQ(decision.starts[1].id, 1u);
@@ -345,21 +349,15 @@ TEST(Scheduler, RepackRewritesPendingStartAndItsPlacementRecord) {
     occ |= catalog().entry(s.entry_index).mask;
   }
 
-  // The incremental index must not change any of it.
+  // The pass leaves the caller's index at exactly that post-decision
+  // occupancy: the re-pack's reset plus the starts it rewrote.
   FreePartitionIndex index(catalog());
-  index.reset(occ_of(running));
-  const auto indexed =
-      sched->schedule(0.0, queue, running, occ_of(running), &index);
-  ASSERT_EQ(indexed.starts.size(), decision.starts.size());
-  for (std::size_t i = 0; i < decision.starts.size(); ++i) {
-    EXPECT_EQ(indexed.starts[i].id, decision.starts[i].id);
-    EXPECT_EQ(indexed.starts[i].entry_index, decision.starts[i].entry_index);
+  for (const RunningJob& r : running) {
+    index.occupy(catalog().entry(r.entry_index).mask);
   }
-  ASSERT_EQ(indexed.migrations.size(), decision.migrations.size());
-  for (std::size_t i = 0; i < decision.migrations.size(); ++i) {
-    EXPECT_EQ(indexed.migrations[i].id, decision.migrations[i].id);
-    EXPECT_EQ(indexed.migrations[i].to_entry, decision.migrations[i].to_entry);
-  }
+  sched->schedule(0.0, queue, running, index);
+  EXPECT_EQ(index.occupied(), occ);
+  EXPECT_NO_THROW(index.check_invariants());
 }
 
 TEST(Scheduler, NamesReportPolicies) {
@@ -375,7 +373,7 @@ TEST(Scheduler, AllocSizeUsedForPlacementSearch) {
   NullPredictor predictor(128);
   const auto sched = make_krevat_scheduler(catalog(), predictor);
   const std::vector<WaitingJob> queue = {WaitingJob{0, 13, 14, 100.0}};
-  const auto decision = sched->schedule(0.0, queue, {}, NodeSet(128));
+  const auto decision = schedule_on(*sched, queue, {});
   ASSERT_EQ(decision.starts.size(), 1u);
   EXPECT_EQ(catalog().entry(decision.starts[0].entry_index).size, 14);
 }

@@ -3,7 +3,12 @@
 // (fault-aware >= fault-oblivious under failures; no failures => all equal).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "failure/generator.hpp"
+#include "obs/audit.hpp"
+#include "obs/trace.hpp"
 #include "sim/driver.hpp"
 #include "workload/synthetic.hpp"
 
@@ -78,39 +83,52 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(SchedulerKind::kTieBreak, 0.1),
                       std::make_tuple(SchedulerKind::kTieBreak, 0.9)));
 
-TEST_P(SchedulerSweep, PartitionIndexDoesNotChangeAnyOutcome) {
-  // The incremental free-partition index is a pure acceleration: every
-  // decision must be bit-for-bit what the scan-based reference path
-  // produces, end to end — including under failures, migration and
-  // post-failure node downtime, which exercise every index update path in
-  // the service.
+TEST_P(SchedulerSweep, IndexedRunMatchesScanReconstruction) {
+  // The free-partition index is the only occupancy a scheduling pass reads.
+  // Replay the run's trace through the auditor, which rebuilds the machine
+  // from the events with catalog scans alone: no two jobs may overlap,
+  // every machine_state's free-node count and MFP must equal the scan
+  // answer over the reconstructed allocations and down nodes, and sim_end
+  // must equal the aggregates recomputed from the stream — under failures,
+  // migration and post-failure node downtime, which exercise every index
+  // update path in the service.
   const auto [kind, alpha] = GetParam();
   const Inputs in = small_inputs(20.0);
-  SimConfig with = config_for(kind, alpha);
-  with.sched.migration = true;
-  with.failure_semantics = FailureSemantics::kDownFor;
-  with.node_downtime = 3600.0;
-  with.collect_outcomes = true;
-  SimConfig without = with;
-  with.use_partition_index = true;
-  without.use_partition_index = false;
+  SimConfig config = config_for(kind, alpha);
+  config.sched.migration = true;
+  config.failure_semantics = FailureSemantics::kDownFor;
+  config.node_downtime = 3600.0;
+  config.snapshot_interval = 1800.0;
+  const SimResult untraced = run_simulation(in.workload, in.trace, config);
 
-  const SimResult a = run_simulation(in.workload, in.trace, with);
-  const SimResult b = run_simulation(in.workload, in.trace, without);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.job_kills, b.job_kills);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.starts_on_flagged, b.starts_on_flagged);
-  EXPECT_DOUBLE_EQ(a.avg_wait, b.avg_wait);
-  EXPECT_DOUBLE_EQ(a.avg_response, b.avg_response);
-  EXPECT_DOUBLE_EQ(a.avg_bounded_slowdown, b.avg_bounded_slowdown);
-  EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
-  EXPECT_DOUBLE_EQ(a.lost, b.lost);
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    EXPECT_EQ(a.outcomes[i].id, b.outcomes[i].id);
-    EXPECT_DOUBLE_EQ(a.outcomes[i].last_start, b.outcomes[i].last_start);
+  std::ostringstream out;
+  obs::TraceSink sink(out);
+  config.obs.trace = &sink;
+  const SimResult traced = run_simulation(in.workload, in.trace, config);
+  const std::string trace = out.str();
+
+  std::istringstream replay(trace);
+  const obs::AuditReport report =
+      obs::audit_trace(replay, obs::AuditOptions{.strict = true});
+  std::string violations;
+  for (const obs::Violation& v : report.violations) {
+    violations += std::string(obs::to_string(v.code)) + "(" + v.message + ") ";
   }
+  EXPECT_TRUE(report.ok()) << violations;
+  EXPECT_EQ(report.jobs, in.workload.jobs.size());
+  // The checks above are only as strong as what reached the trace.
+  EXPECT_NE(trace.find("\"type\":\"machine_state\""), std::string::npos);
+  EXPECT_NE(trace.find("\"type\":\"node_failure\""), std::string::npos);
+  EXPECT_GT(traced.job_kills, 0u);
+
+  // Tracing reads the index; it must not move any decision.
+  EXPECT_EQ(traced.jobs_completed, untraced.jobs_completed);
+  EXPECT_EQ(traced.job_kills, untraced.job_kills);
+  EXPECT_EQ(traced.migrations, untraced.migrations);
+  EXPECT_EQ(traced.starts_on_flagged, untraced.starts_on_flagged);
+  EXPECT_DOUBLE_EQ(traced.avg_bounded_slowdown, untraced.avg_bounded_slowdown);
+  EXPECT_DOUBLE_EQ(traced.utilization, untraced.utilization);
+  EXPECT_DOUBLE_EQ(traced.lost, untraced.lost);
 }
 
 TEST(Integration, NoFailuresMakesAllSchedulersEquivalent) {

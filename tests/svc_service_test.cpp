@@ -468,7 +468,7 @@ TEST(SvcService, SimBeginReportsTheAnnouncedCensus) {
     ServiceConfig config;
     config.obs.trace = &sink;
     SchedulerService service(config);
-    if (announced) service.announce(StreamCensus{3, 5, "heap"});
+    if (announced) service.announce(StreamCensus{3, 5});
     std::vector<Decision> out;
     service.handle(submit(0.0, 1, 4, 100.0), out);
     sink.flush();
@@ -476,9 +476,6 @@ TEST(SvcService, SimBeginReportsTheAnnouncedCensus) {
     EXPECT_NE(begin.find(announced ? "\"jobs\":3,\"failure_events\":5"
                                    : "\"jobs\":0,\"failure_events\":0"),
               std::string::npos)
-        << begin;
-    EXPECT_EQ(begin.find("\"event_queue\":\"heap\"") != std::string::npos,
-              announced)
         << begin;
   }
 }

@@ -127,74 +127,82 @@ TEST(IndexFuzz, AsymmetricSmallTorus) {
 
 TEST(IndexFuzz, BlockCatalogTorus) {
   // The scale-up configuration in miniature: contiguous-id blocks and the
-  // index's word-level bulk occupy/release path (full_width_scans off).
+  // index's word-level bulk occupy/release path.
   CatalogOptions options;
   options.mode = CatalogOptions::Mode::kBlocks;
   options.min_block = 16;
   fuzz(Dims{16, 8, 8}, Topology::kTorus, 0xB10C5u, 900, options);
+}
+
+/// Random 1-64-bit-per-word deltas, drawn without regard to the current
+/// occupancy: occupy deltas partly hit occupied nodes, release deltas partly
+/// hit free ones, and both must be ignored there. Bulk deltas choose the
+/// node or the word walk per delta word by cost, so one occupy/release call
+/// can mix both walks; a `single_node_share` of the deltas instead toggles
+/// one node through occupy_node/release_node, which always take the node
+/// walk. check_invariants() recounts every entry's blocked nodes with
+/// full-width intersect_count, a reference independent of both walks, after
+/// every delta.
+void mixed_density_fuzz(const PartitionCatalog& catalog, std::uint64_t seed,
+                        int deltas, double single_node_share = 0.0) {
+  FreePartitionIndex index(catalog);
+  const int nodes = catalog.num_nodes();
+  NodeSet expect(nodes);
+  Rng rng(seed);
+
+  for (int t = 0; t < deltas; ++t) {
+    if (single_node_share > 0.0 && rng.uniform() < single_node_share) {
+      const int node = static_cast<int>(
+          rng.uniform_int(0, static_cast<std::uint64_t>(nodes - 1)));
+      if (expect.test(node)) {
+        index.release_node(node);
+        expect.reset(node);
+      } else {
+        index.occupy_node(node);
+        expect.set(node);
+      }
+    } else {
+      NodeSet delta(nodes);
+      for (int base = 0; base < nodes; base += 64) {
+        const int width = std::min(64, nodes - base);
+        const int k = static_cast<int>(
+            rng.uniform_int(1, static_cast<std::uint64_t>(width)));
+        for (int i = 0; i < k; ++i) {
+          delta.set(base + static_cast<int>(rng.uniform_int(
+                               0, static_cast<std::uint64_t>(width - 1))));
+        }
+      }
+      if (rng.uniform() < 0.5) {
+        index.occupy(delta);
+        expect |= delta;
+      } else {
+        index.release(delta);
+        expect.subtract(delta);
+      }
+    }
+
+    ASSERT_EQ(index.occupied(), expect) << "delta " << t;
+    ASSERT_NO_THROW(index.check_invariants()) << "delta " << t;
+  }
+  ASSERT_EQ(index.mfp(), catalog.mfp(expect));
 }
 
 TEST(IndexFuzz, BoxCatalogMixedDensityDeltas) {
-  // Bulk deltas choose the node or the word walk per delta word by cost;
-  // on the paper's box catalog the crossover is 6 nodes per word, so deltas
-  // of 1-64 bits per word mix both walks inside one occupy/release call.
-  // A full_width_scans twin takes the per-node walk alone and must end
-  // every delta with the same counters.
-  const PartitionCatalog catalog(Dims::bluegene_l(), Topology::kTorus);
-  CatalogOptions reference_options;
-  reference_options.full_width_scans = true;
-  const PartitionCatalog reference_catalog(Dims::bluegene_l(), Topology::kTorus,
-                                           reference_options);
-  ASSERT_EQ(catalog.num_entries(), reference_catalog.num_entries());
-  FreePartitionIndex index(catalog);
-  FreePartitionIndex twin(reference_catalog);
-  const int nodes = catalog.num_nodes();
-  Rng rng(0x5EEDu);
-
-  for (int t = 0; t < 2000; ++t) {
-    // Random bits, 1-64 per word, drawn without regard to the current
-    // occupancy: occupy deltas partly hit occupied nodes, release deltas
-    // partly hit free ones, and both must be ignored there.
-    NodeSet delta(nodes);
-    for (int base = 0; base < nodes; base += 64) {
-      const int width = std::min(64, nodes - base);
-      const int k = static_cast<int>(
-          rng.uniform_int(1, static_cast<std::uint64_t>(width)));
-      for (int i = 0; i < k; ++i) {
-        delta.set(base + static_cast<int>(rng.uniform_int(
-                             0, static_cast<std::uint64_t>(width - 1))));
-      }
-    }
-    if (rng.uniform() < 0.5) {
-      index.occupy(delta);
-      twin.occupy(delta);
-    } else {
-      index.release(delta);
-      twin.release(delta);
-    }
-
-    ASSERT_EQ(index.occupied(), twin.occupied()) << "delta " << t;
-    ASSERT_EQ(index.mfp(), twin.mfp()) << "delta " << t;
-    for (int e = 0; e < catalog.num_entries(); ++e) {
-      ASSERT_EQ(index.blocked_count(e), twin.blocked_count(e))
-          << "delta " << t << " entry " << e;
-    }
-    if (t % 100 == 0) {
-      ASSERT_NO_THROW(index.check_invariants()) << "delta " << t;
-      ASSERT_NO_THROW(twin.check_invariants()) << "delta " << t;
-    }
-  }
+  // On the paper's box catalog the crossover is 6 nodes per word, so bulk
+  // deltas alone run both walks.
+  mixed_density_fuzz(PartitionCatalog(Dims::bluegene_l(), Topology::kTorus),
+                     0x5EEDu, 2000);
 }
 
-TEST(IndexFuzz, BlockCatalogPerNodeReferencePath) {
-  // full_width_scans also routes the index through the per-node counter
-  // walk — the pre-optimization reference the perf gate compares against —
-  // which must stay answer-identical to the bulk word path above.
+TEST(IndexFuzz, BlockCatalogMixedDensityDeltas) {
+  // A block catalog crosses over at 1 node per word, so its bulk deltas
+  // always take the word walk; the per-node counter walk runs there only
+  // for single-node deltas (failures, repairs), which this mixes in.
   CatalogOptions options;
   options.mode = CatalogOptions::Mode::kBlocks;
   options.min_block = 16;
-  options.full_width_scans = true;
-  fuzz(Dims{16, 8, 8}, Topology::kTorus, 0xB10C5u, 900, options);
+  mixed_density_fuzz(PartitionCatalog(Dims{16, 8, 8}, Topology::kTorus, options),
+                     0xB10C5u, 900, 0.5);
 }
 
 }  // namespace

@@ -81,6 +81,22 @@ TEST(Strings, RequireFlagValuesAreStrictAndFinite) {
   }
 }
 
+TEST(Strings, RequireIntRangeRefusesInsteadOfWrapping) {
+  EXPECT_EQ(require_int("--max-conns", "1", 1, 8), 1);
+  EXPECT_EQ(require_int("--max-conns", "8", 1, 8), 8);
+  // 2^32 + 1 narrows to 1 through static_cast<int>; the range check must
+  // see the wide value first.
+  for (const char* token : {"0", "9", "-8", "4294967297", "x"}) {
+    try {
+      require_int("--max-conns", token, 1, 8);
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("--max-conns"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(token), std::string::npos);
+    }
+  }
+}
+
 TEST(Strings, FormatDouble) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(-0.5, 1), "-0.5");

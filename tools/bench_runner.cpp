@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
       names.push_back(value());
     } else if (arg == "--threads") {
       const auto n = bgl::parse_int(value());
-      if (!n || *n < 1) {
+      if (!n || *n < 1 || *n > std::numeric_limits<int>::max()) {
         std::cerr << "bench_runner: --threads needs an integer >= 1\n";
         return 2;
       }

@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <queue>
 #include <string>
@@ -92,8 +93,7 @@ Options parse(int argc, char** argv) {
         throw ConfigError("--workload must be nasa, sdsc or llnl");
       }
     } else if (arg == "--jobs") {
-      o.jobs = static_cast<int>(require_int(arg, next()));
-      if (o.jobs < 1) throw ConfigError("--jobs must be >= 1");
+      o.jobs = require_int(arg, next(), 1, std::numeric_limits<int>::max());
     } else if (arg == "--load") {
       o.load = require_double(arg, next());
       if (o.load <= 0.0) throw ConfigError("--load must be positive");

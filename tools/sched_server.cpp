@@ -24,7 +24,6 @@
 //     --downfor           kDownFor failure semantics: victimless fail
 //                         events still trigger a scheduling pass
 //     --seed N            salts the tie-breaking predictor (default 1)
-//     --no-index          disable the incremental free-partition index
 //     --trace-out PATH    write the standard JSONL event trace ("-": stdout
 //                         is the protocol stream, so "-" is rejected here)
 //     --snapshot-interval S  with --trace-out: emit a machine_state event
@@ -49,6 +48,7 @@
 // "t" field is demanded by the line framing and ignored).
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -86,13 +86,11 @@ Dims require_dims(const std::string& flag, const std::string& token) {
   if (a == std::string::npos || b == a) {
     throw ConfigError(flag + " requires XxYxZ, got '" + token + "'");
   }
+  constexpr int kMax = std::numeric_limits<int>::max();
   Dims d;
-  d.x = static_cast<int>(require_int(flag, token.substr(0, a)));
-  d.y = static_cast<int>(require_int(flag, token.substr(a + 1, b - a - 1)));
-  d.z = static_cast<int>(require_int(flag, token.substr(b + 1)));
-  if (d.x < 1 || d.y < 1 || d.z < 1) {
-    throw ConfigError(flag + " dimensions must be >= 1, got '" + token + "'");
-  }
+  d.x = require_int(flag, token.substr(0, a), 1, kMax);
+  d.y = require_int(flag, token.substr(a + 1, b - a - 1), 1, kMax);
+  d.z = require_int(flag, token.substr(b + 1), 1, kMax);
   return d;
 }
 
@@ -116,7 +114,8 @@ Options parse(int argc, char** argv) {
       else if (v == "blocks") o.service.catalog.mode = CatalogOptions::Mode::kBlocks;
       else throw ConfigError("--catalog must be boxes or blocks, got '" + v + "'");
     } else if (arg == "--min-block") {
-      o.service.catalog.min_block = static_cast<int>(require_int(arg, next()));
+      o.service.catalog.min_block =
+          require_int(arg, next(), 1, std::numeric_limits<int>::max());
     } else if (arg == "--scheduler") {
       const std::string v = next();
       if (v == "krevat") o.service.scheduler = SchedulerKind::kKrevat;
@@ -156,8 +155,6 @@ Options parse(int argc, char** argv) {
       o.service.failure_semantics = FailureSemantics::kDownFor;
     } else if (arg == "--seed") {
       o.service.seed = static_cast<std::uint64_t>(require_int(arg, next()));
-    } else if (arg == "--no-index") {
-      o.service.use_partition_index = false;
     } else if (arg == "--trace-out") {
       const std::string v = next();
       if (v == "-") {
@@ -184,8 +181,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--socket") {
       o.socket_path = next();
     } else if (arg == "--max-conns") {
-      o.max_conns = static_cast<int>(require_int(arg, next()));
-      if (o.max_conns < 1) throw ConfigError("--max-conns must be >= 1");
+      o.max_conns = require_int(arg, next(), 1, std::numeric_limits<int>::max());
     } else if (arg == "--quiet") {
       o.echo_ok = false;
     } else {
