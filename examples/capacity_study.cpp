@@ -7,11 +7,13 @@
 // capacity, it reclaims capacity that failures would destroy.
 //
 // Usage: capacity_study [failures_per_day...]   (default sweep 0 2 6 12)
+// A malformed or out-of-range rate exits 2.
 #include <iostream>
 #include <vector>
 
 #include "failure/generator.hpp"
 #include "sim/driver.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "workload/analysis.hpp"
@@ -23,8 +25,18 @@ int main(int argc, char** argv) {
   std::vector<double> rates = {0.0, 2.0, 6.0, 12.0};
   if (argc > 1) {
     rates.clear();
-    for (int i = 1; i < argc; ++i) {
-      if (const auto v = parse_double(argv[i]); v && *v >= 0.0) rates.push_back(*v);
+    try {
+      for (int i = 1; i < argc; ++i) {
+        const double v = require_double("failures_per_day", argv[i]);
+        if (v < 0.0 || v > 1e4) {
+          throw ConfigError("failures_per_day must be in [0, 10000]");
+        }
+        rates.push_back(v);
+      }
+    } catch (const ConfigError& e) {
+      std::cerr << "error: " << e.what() << '\n'
+                << "usage: capacity_study [failures_per_day...]\n";
+      return 2;
     }
   }
 

@@ -1,21 +1,30 @@
 // replay_gantt: visualise a simulation as an ASCII machine-utilisation
-// timeline built from the structured replay log.
+// timeline rebuilt from its JSONL trace.
 //
-// Renders two views of a small SDSC-like run under the balancing scheduler:
+// Runs a small SDSC-like workload under the balancing scheduler into an
+// in-memory trace, reads the trace back with obs::TraceReader (the same
+// path trace_audit and trace_tools describe-trace take) and renders two
+// views:
 //   1. a utilisation strip — one column per time bucket, bar height = busy
 //      nodes, with failure events marked on top;
 //   2. a per-z-plane occupancy map at a chosen instant, showing how the
-//      torus is carved into rectangular partitions.
+//      torus is carved into rectangular partitions (migrated jobs drawn on
+//      the partition they moved to).
 //
 // Usage: replay_gantt [jobs] [failures_per_day] [seed]
+// Malformed or out-of-range arguments exit 2 naming the argument.
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <vector>
 
 #include "failure/generator.hpp"
+#include "obs/reader.hpp"
+#include "obs/trace.hpp"
 #include "sim/driver.hpp"
-#include "sim/replay.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 #include "workload/synthetic.hpp"
 
@@ -23,37 +32,73 @@ namespace {
 
 using namespace bgl;
 
-/// Busy-node count over time reconstructed from the replay log.
+/// One change of a job's partition read back from the trace: a start or a
+/// migration gives the job `entry`; a finish or a kill releases it (-1). A
+/// node failure changes no partition.
+struct Change {
+  double time;
+  std::int64_t job;
+  int entry;
+  bool failure;
+};
+
+std::vector<Change> read_changes(std::istream& trace) {
+  std::vector<Change> changes;
+  obs::TraceReader reader(trace);
+  obs::TraceRecord rec;
+  while (reader.next(rec)) {
+    switch (rec.type()) {
+      case obs::EventType::kJobStart:
+        changes.push_back({rec.t(), rec.require_int("job"),
+                           static_cast<int>(rec.require_int("entry")), false});
+        break;
+      case obs::EventType::kMigration:
+        changes.push_back({rec.t(), rec.require_int("job"),
+                           static_cast<int>(rec.require_int("to_entry")), false});
+        break;
+      case obs::EventType::kJobFinish:
+      case obs::EventType::kJobKill:
+        changes.push_back({rec.t(), rec.require_int("job"), -1, false});
+        break;
+      case obs::EventType::kNodeFailure:
+        changes.push_back({rec.t(), -1, -1, true});
+        break;
+      default:
+        break;
+    }
+  }
+  return changes;
+}
+
+/// Apply one change to the job -> entry map of running jobs.
+void apply(const Change& c, std::map<std::int64_t, int>& running) {
+  if (c.failure) return;
+  if (c.entry < 0) {
+    running.erase(c.job);
+  } else {
+    running[c.job] = c.entry;
+  }
+}
+
+/// Busy-node count over time.
 struct TimelinePoint {
   double time;
   int busy;
   bool failure;
 };
 
-std::vector<TimelinePoint> reconstruct(const std::vector<ReplayEvent>& replay,
+std::vector<TimelinePoint> reconstruct(const std::vector<Change>& changes,
                                        const PartitionCatalog& catalog) {
   std::vector<TimelinePoint> points;
-  std::map<std::uint64_t, int> running;  // job -> entry
+  std::map<std::int64_t, int> running;
   int busy = 0;
-  for (const ReplayEvent& e : replay) {
-    bool failure = false;
-    switch (e.type) {
-      case ReplayEventType::kStart:
-        running[e.job_id] = e.entry_index;
-        busy += catalog.entry(e.entry_index).size;
-        break;
-      case ReplayEventType::kFinish:
-      case ReplayEventType::kKill:
-        busy -= catalog.entry(running[e.job_id]).size;
-        running.erase(e.job_id);
-        break;
-      case ReplayEventType::kNodeFailure:
-        failure = true;
-        break;
-      default:
-        break;
+  for (const Change& c : changes) {
+    if (const auto it = running.find(c.job); it != running.end()) {
+      busy -= catalog.entry(it->second).size;
     }
-    points.push_back(TimelinePoint{e.time, busy, failure});
+    if (c.entry >= 0) busy += catalog.entry(c.entry).size;
+    apply(c, running);
+    points.push_back(TimelinePoint{c.time, busy, c.failure});
   }
   return points;
 }
@@ -98,17 +143,12 @@ void render_strip(const std::vector<TimelinePoint>& points, int columns, int row
             << format_duration(t1 - t0) << '\n';
 }
 
-void render_occupancy_at(const std::vector<ReplayEvent>& replay,
+void render_occupancy_at(const std::vector<Change>& changes,
                          const PartitionCatalog& catalog, double at) {
-  std::map<std::uint64_t, int> running;
-  for (const ReplayEvent& e : replay) {
-    if (e.time > at) break;
-    switch (e.type) {
-      case ReplayEventType::kStart: running[e.job_id] = e.entry_index; break;
-      case ReplayEventType::kFinish:
-      case ReplayEventType::kKill: running.erase(e.job_id); break;
-      default: break;
-    }
+  std::map<std::int64_t, int> running;
+  for (const Change& c : changes) {
+    if (c.time > at) break;
+    apply(c, running);
   }
   // Letter per job, '.' for free.
   std::vector<char> cell(static_cast<std::size_t>(catalog.num_nodes()), '.');
@@ -141,9 +181,21 @@ int main(int argc, char** argv) {
   int jobs = 400;
   double failures_per_day = 6.0;
   std::uint64_t seed = 11;
-  if (argc > 1) jobs = static_cast<int>(parse_int(argv[1]).value_or(jobs));
-  if (argc > 2) failures_per_day = parse_double(argv[2]).value_or(failures_per_day);
-  if (argc > 3) seed = static_cast<std::uint64_t>(parse_int(argv[3]).value_or(11));
+  try {
+    if (argc > 4) throw ConfigError("too many arguments");
+    if (argc > 1) jobs = require_int("jobs", argv[1], 1, std::numeric_limits<int>::max());
+    if (argc > 2) {
+      failures_per_day = require_double("failures_per_day", argv[2]);
+      if (failures_per_day < 0.0 || failures_per_day > 1e4) {
+        throw ConfigError("failures_per_day must be in [0, 10000]");
+      }
+    }
+    if (argc > 3) seed = static_cast<std::uint64_t>(require_int("seed", argv[3]));
+  } catch (const ConfigError& e) {
+    std::cerr << "error: " << e.what() << "\n"
+              << "usage: replay_gantt [jobs] [failures_per_day] [seed]\n";
+    return 2;
+  }
 
   SyntheticModel model = SyntheticModel::sdsc();
   model.num_jobs = jobs;
@@ -155,19 +207,23 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(failures_per_day * span / 86400.0), span),
       seed ^ 0x9e37);
 
+  std::stringstream events;
+  obs::TraceSink sink(events);
   SimConfig config;
   config.scheduler = SchedulerKind::kBalancing;
   config.alpha = 0.1;
-  config.record_replay = true;
+  config.obs.trace = &sink;
 
   const PartitionCatalog catalog(Dims::bluegene_l());
   const SimResult r = run_simulation(w, trace, config, &catalog);
+  sink.flush();
 
   std::cout << "jobs " << r.jobs_completed << ", kills " << r.job_kills
-            << ", utilization " << format_double(r.utilization, 3) << ", slowdown "
+            << ", migrations " << r.migrations << ", utilization "
+            << format_double(r.utilization, 3) << ", slowdown "
             << format_double(r.avg_bounded_slowdown, 1) << "\n\n";
-  const auto points = reconstruct(r.replay, catalog);
-  render_strip(points, 100, 12);
-  render_occupancy_at(r.replay, catalog, r.span / 2.0);
+  const std::vector<Change> changes = read_changes(events);
+  render_strip(reconstruct(changes, catalog), 100, 12);
+  render_occupancy_at(changes, catalog, r.span / 2.0);
   return 0;
 }

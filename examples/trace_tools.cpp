@@ -8,10 +8,13 @@
 //   trace_tools describe-swf <file.swf>
 //   trace_tools describe-failures <file.csv> [nodes]
 //   trace_tools describe-trace <trace.jsonl>
+//
+// A malformed or out-of-range numeric argument exits 2 naming it.
 #include <algorithm>
 #include <array>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -48,8 +51,8 @@ SyntheticModel model_by_name(const std::string& name) {
 int gen_swf(int argc, char** argv) {
   if (argc != 6) return usage();
   SyntheticModel model = model_by_name(argv[2]);
-  model.num_jobs = static_cast<int>(parse_int(argv[3]).value_or(0));
-  const auto seed = static_cast<std::uint64_t>(parse_int(argv[4]).value_or(1));
+  model.num_jobs = require_int("jobs", argv[3], 1, std::numeric_limits<int>::max());
+  const auto seed = static_cast<std::uint64_t>(require_int("seed", argv[4]));
   const Workload w = generate_workload(model, seed);
   write_swf_file(argv[5], w);
   std::cout << "wrote " << w.jobs.size() << " jobs to " << argv[5] << '\n'
@@ -59,9 +62,11 @@ int gen_swf(int argc, char** argv) {
 
 int gen_failures(int argc, char** argv) {
   if (argc != 6) return usage();
-  const auto events = static_cast<std::size_t>(parse_int(argv[2]).value_or(0));
-  const double days = parse_double(argv[3]).value_or(365.0);
-  const auto seed = static_cast<std::uint64_t>(parse_int(argv[4]).value_or(1));
+  const auto events = static_cast<std::size_t>(
+      require_int("events", argv[2], 0, std::numeric_limits<int>::max()));
+  const double days = require_double("days", argv[3]);
+  if (days <= 0.0) throw ConfigError("days must be positive");
+  const auto seed = static_cast<std::uint64_t>(require_int("seed", argv[4]));
   const FailureTrace trace =
       generate_failures(FailureModel::bluegene_l(events, days * 86400.0), seed);
   write_failure_csv(argv[5], trace);
@@ -79,7 +84,9 @@ int describe_swf(int argc, char** argv) {
 
 int describe_failures(int argc, char** argv) {
   if (argc != 3 && argc != 4) return usage();
-  const int nodes = argc == 4 ? static_cast<int>(parse_int(argv[3]).value_or(128)) : 128;
+  const int nodes =
+      argc == 4 ? require_int("nodes", argv[3], 1, std::numeric_limits<int>::max())
+                : 128;
   const FailureTrace trace = read_failure_csv(argv[2], nodes);
   std::cout << "failure trace: " << trace.size() << " events over " << nodes
             << " nodes\n";
@@ -183,6 +190,9 @@ int main(int argc, char** argv) {
     if (command == "describe-swf") return describe_swf(argc, argv);
     if (command == "describe-failures") return describe_failures(argc, argv);
     if (command == "describe-trace") return describe_trace(argc, argv);
+  } catch (const ConfigError& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

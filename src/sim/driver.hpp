@@ -4,9 +4,13 @@
 // svc::SchedulerService, the same scheduling core a live sched_server runs.
 // A discrete-event loop (svc/sim_adapter.cpp) owns the clock: pending
 // arrivals, finishes, failures and down-time expiries. The service owns
-// every decision, the state behind it (queue, torus occupancy, down
-// overlay, predictor feed, checkpointed work) and every §6.1 aggregate of
-// the SimResult. Semantics fixed by the paper:
+// every decision, the state behind it (queue, each running job's
+// partition, down overlay, predictor feed, checkpointed work) and every
+// §6.1 aggregate of the SimResult. For a per-event record of a run, attach
+// a trace sink (SimConfig::obs.trace, simulate_cli --trace-out): the JSONL
+// trace logs every start, finish, kill, migration and failure, and
+// obs::audit_trace (tools/trace_audit) checks it. Semantics fixed by the
+// paper:
 //
 //   * jobs start the instant they are scheduled;
 //   * failures are transient: a failing node kills any job running on it
@@ -28,7 +32,7 @@
 
 namespace bgl {
 
-/// The service's configuration plus the three knobs only the clock reads.
+/// The service's configuration plus the two knobs only the clock reads.
 struct SimConfig : svc::ServiceConfig {
   /// The paper's setup: balancing fed by the §4 simulated predictor. These
   /// are the only defaults that differ from ServiceConfig's, because an
@@ -41,9 +45,6 @@ struct SimConfig : svc::ServiceConfig {
 
   double node_downtime = 0.0;  ///< Seconds a node stays down (kDownFor).
   bool collect_outcomes = false;  ///< Fill SimResult::outcomes.
-  /// Fill SimResult::replay, a structured event log for offline validation,
-  /// visualisation or regression diffing (sim/replay.hpp).
-  bool record_replay = false;
 };
 
 /// Run one simulation. Job sizes must already fit config.dims (use

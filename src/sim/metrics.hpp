@@ -22,7 +22,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "sim/replay.hpp"
 #include "util/stats.hpp"
 
 namespace bgl {
@@ -105,7 +104,6 @@ struct SimResult {
   RunningStats slowdown_stats;
 
   std::vector<JobOutcome> outcomes;  ///< Filled when requested.
-  std::vector<ReplayEvent> replay;   ///< Filled when record_replay is set.
 };
 
 /// Order-sensitive digest of every scalar a scheduling decision can move

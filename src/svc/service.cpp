@@ -47,7 +47,7 @@ SchedulerService::SchedulerService(const ServiceConfig& config,
                          : new PartitionCatalog(config.dims, config.topology,
                                                 config.catalog)),
       catalog_(shared_catalog ? shared_catalog : owned_catalog_.get()),
-      torus_(*catalog_),
+      allocated_(catalog_->num_nodes()),
       index_(*catalog_),
       down_(config.dims.volume()),
       tr_(config.obs.trace),
@@ -205,10 +205,10 @@ void SchedulerService::emit_metrics(double t) {
   }
 
   if (tr_ != nullptr) {
-    // busy = nodes held by running jobs: exactly the union of live
-    // allocation masks (down nodes sit in a separate overlay), which is
-    // what the auditor recomputes from the stream.
-    const int busy = torus_.occupied().count();
+    // busy = nodes held by running jobs: exactly the union of their
+    // partitions (down nodes sit in a separate overlay), which is what the
+    // auditor recomputes from the stream.
+    const int busy = allocated_.count();
     const int nodes = catalog_->num_nodes();
     const double interval = t - last_metrics_t_;
     double p50 = 0.0, p99 = 0.0, max_us = 0.0;
@@ -307,9 +307,17 @@ void SchedulerService::enqueue(JobRec& job) {
   integrator_.add_queued(job.size);
 }
 
+void SchedulerService::allocate(JobRec& job, int entry) {
+  const NodeSet& mask = catalog_->entry(entry).mask;
+  BGL_CHECK(!mask.intersects(allocated_), "allocating an occupied partition");
+  allocated_ |= mask;
+  job.entry = entry;
+}
+
 void SchedulerService::release_allocation(JobRec& job) {
-  index_release(catalog_->entry(job.entry).mask);
-  torus_.release(job.id);
+  const NodeSet& mask = catalog_->entry(job.entry).mask;
+  index_release(mask);
+  allocated_.subtract(mask);
   const auto rpos = std::find(running_.begin(), running_.end(), &job);
   BGL_CHECK(rpos != running_.end(), "job missing from running set");
   *rpos = running_.back();
@@ -333,11 +341,11 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
   }
 
   // The index is the one occupancy the pass reads; it must equal what the
-  // two other owners say is busy: the torus allocations and the down
+  // two other books say is busy: the running jobs' partitions and the down
   // overlay.
   {
     obs::ScopedPhase sync_span(config_.obs.profiler, obs::Phase::kIndexSync);
-    BGL_CHECK(is_union_of(index_.occupied(), torus_.occupied(), down_),
+    BGL_CHECK(is_union_of(index_.occupied(), allocated_, down_),
               "free-partition index out of sync with allocations and down nodes");
   }
   // Wall-clock pass latency feeds the metrics window (p50/p99/max per
@@ -364,7 +372,7 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
   }
 
   // The pass already advanced the index to the post-decision occupancy;
-  // what follows commits the decision to the torus and the job records.
+  // what follows commits the decision to allocated_ and the job records.
   // Apply migrations first, in two phases: jobs may rotate into one
   // another's old partitions, so every mover must release before any
   // re-allocates.
@@ -372,12 +380,13 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     const JobRec* j = find(m.id);
     BGL_CHECK(j != nullptr, "migration refers to unknown job");
     BGL_CHECK(j->phase == Phase::kRunning, "migrating a non-running job");
-    torus_.release(m.id);
+    BGL_CHECK(j->entry == m.from_entry,
+              "migration source is not the job's partition");
+    allocated_.subtract(catalog_->entry(j->entry).mask);
   }
   for (const Migration& m : decision.migrations) {
-    torus_.allocate(m.id, m.to_entry);
     JobRec& j = *find(m.id);
-    j.entry = m.to_entry;
+    allocate(j, m.to_entry);
     ++stats_.migrations;
     ++m_migrations_;
     if (tr_ != nullptr) {
@@ -414,8 +423,7 @@ void SchedulerService::run_pass(double now, std::vector<Decision>& out) {
     queue_.erase(qpos);
     integrator_.add_queued(-static_cast<long long>(j.size));
 
-    torus_.allocate(j.id, start.entry_index);
-    j.entry = start.entry_index;
+    allocate(j, start.entry_index);
     j.phase = Phase::kRunning;
     j.last_start = now;
     if (j.first_start < 0.0) j.first_start = now;
@@ -654,15 +662,24 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
   predictor_->observe_failure(e.node, e.time);
   if (pred_armed_) pred_failed_.set(e.node);
   ++stats_.failures;
-  const std::vector<std::uint64_t> victims =
-      torus_.allocations_containing(e.node);
+  // Partitions are disjoint, so the node has at most one victim.
+  JobRec* victim = nullptr;
+  if (allocated_.test(e.node)) {
+    for (JobRec* j : running_) {
+      if (catalog_->entry(j->entry).mask.test(e.node)) {
+        victim = j;
+        break;
+      }
+    }
+    BGL_CHECK(victim != nullptr, "allocated node held by no running job");
+  }
   if (tr_ != nullptr) {
     // Down-time ends with an explicit repair event, not a duration known up
     // front: down_for stays 0, and "down":true tells the auditor to hold
     // the node down until the matching node_repair.
     auto ev = tr_->event("node_failure", e.time);
     ev.field("node", e.node)
-        .field("victims", static_cast<std::int64_t>(victims.size()))
+        .field("victims", static_cast<std::int64_t>(victim != nullptr))
         .field("down_for", 0.0);
     if (e.down) ev.field("down", true);
   }
@@ -673,11 +690,11 @@ void SchedulerService::on_fail(const Event& e, std::vector<Decision>& out) {
     // blocked because index_release subtracts the down overlay.
     index_.occupy_node(e.node);
   }
-  if (!victims.empty()) ++stats_.failures_hitting_jobs;
-  for (const std::uint64_t id : victims) {
-    kill_job(*find(id), e.time, e.node, out);
+  if (victim != nullptr) {
+    ++stats_.failures_hitting_jobs;
+    kill_job(*victim, e.time, e.node, out);
   }
-  if (!victims.empty() || e.down ||
+  if (victim != nullptr || e.down ||
       config_.failure_semantics == FailureSemantics::kDownFor) {
     integrator_.set_free(usable_free_nodes());
     run_pass(e.time, out);

@@ -2,8 +2,9 @@
 //
 // The service owns everything a scheduling decision depends on — the
 // Scheduler engine, the PartitionCatalog + FreePartitionIndex, the waiting
-// queue, torus occupancy, the down-node overlay, the predictor feed, and
-// each job's remaining work under the checkpoint model — but owns no clock
+// queue, each running job's partition (JobRec::entry), the down-node
+// overlay, the predictor feed, and each job's remaining work under the
+// checkpoint model — but owns no clock
 // and no pending-event set. Time only advances when an Event arrives; each
 // event is validated, applied, and answered with zero or more Decisions
 // (start/kill/migrate). That inversion lets one core be driven by every
@@ -25,8 +26,11 @@
 // sched_decision / job_start / migration / node_failure / node_repair /
 // checkpoint / job_kill / job_finish, periodic machine_state / metrics, and
 // sim_end from finish_stream()), auditable by tools/trace_audit --strict.
-// Job ids are the ids the clock submitted (workload indices under the
-// simulator); docs/OBSERVABILITY.md lists the schema.
+// The trace is the one per-event record of a session: attach it with
+// --trace-out (simulate_cli, sched_server) for a log of every start,
+// finish, kill, migration and failure. Job ids are the ids the clock
+// submitted (workload indices under the simulator); docs/OBSERVABILITY.md
+// lists the schema.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +47,6 @@
 #include "svc/protocol.hpp"
 #include "torus/catalog.hpp"
 #include "torus/index.hpp"
-#include "torus/occupancy.hpp"
 
 namespace bgl {
 class Scheduler;
@@ -166,6 +169,8 @@ class SchedulerService {
   void enqueue(JobRec& job);
   void run_pass(double now, std::vector<Decision>& out);
   void kill_job(JobRec& job, double now, int node, std::vector<Decision>& out);
+  /// Give `job` catalog entry `entry`, which must be unallocated.
+  void allocate(JobRec& job, int entry);
   void release_allocation(JobRec& job);
 
   void on_submit(const Event& e, std::vector<Decision>& out, std::size_t line);
@@ -196,9 +201,11 @@ class SchedulerService {
   const ServiceConfig config_;
   std::unique_ptr<PartitionCatalog> owned_catalog_;
   const PartitionCatalog* catalog_;
-  TorusOccupancy torus_;
-  /// The scheduling occupancy: torus allocations plus down nodes. Every
-  /// pass reads and advances it; run_pass checks it against both owners.
+  /// Union of the running jobs' partitions (each JobRec::entry). Partitions
+  /// are disjoint, so a node in it belongs to exactly one running job.
+  NodeSet allocated_;
+  /// The scheduling occupancy: allocated_ plus down nodes. Every pass reads
+  /// and advances it; run_pass checks it against both.
   FreePartitionIndex index_;
   std::unique_ptr<FaultPredictor> predictor_;
   std::unique_ptr<Scheduler> scheduler_;

@@ -4,11 +4,12 @@
 // in sim/experiment.hpp) are defined here. They own only what a clock
 // needs: the pending-event set (arrivals, finishes, failures, down-time
 // expiries), finish times from SchedulerService::remaining_work, stale-event
-// filtering, the replay log and the outcome list. Every decision, the
-// checkpoint model's work accounting, every trace line and every §6.1
-// aggregate (SchedulerService::summary) come from the service, so the
-// simulator and a live sched_server share one scheduling core and one set
-// of books.
+// filtering and the outcome list. Every decision, the checkpoint model's
+// work accounting, every trace line and every §6.1 aggregate
+// (SchedulerService::summary) come from the service, so the simulator and a
+// live sched_server share one scheduling core and one set of books. The
+// trace (SimConfig::obs.trace; simulate_cli --trace-out) is the run's one
+// event record, and tools/trace_audit checks it.
 //
 // Each popped event is one `des.event` profiler span; the service's
 // `svc.event` span (and the scheduler passes under it) nests inside, so
@@ -33,13 +34,6 @@ namespace bgl::svc {
 
 namespace {
 
-/// Clock-side state of one job; everything decision-side lives in the
-/// service.
-struct JobClock {
-  std::uint64_t gen = 0;  ///< Finish-event validity tag; kills bump it.
-  int entry = -1;         ///< Current partition, for the replay log.
-};
-
 class Simulation {
  public:
   Simulation(const Workload& workload, const FailureTrace& trace,
@@ -48,7 +42,7 @@ class Simulation {
         workload_(workload),
         trace_(trace),
         service_(config, &trace, shared_catalog),
-        clock_(workload.jobs.size()),
+        finish_gen_(workload.jobs.size(), 0),
         down_until_(static_cast<std::size_t>(config.dims.volume()), 0.0) {
     BGL_CHECK(trace.empty() || trace.num_nodes() == config.dims.volume(),
               "failure trace node count mismatch");
@@ -73,52 +67,37 @@ class Simulation {
   const Workload& workload_;
   const FailureTrace& trace_;
   SchedulerService service_;
-  std::vector<JobClock> clock_;
+  /// Finish-event validity tag per job; kills bump it. Everything else
+  /// about a job lives in the service.
+  std::vector<std::uint64_t> finish_gen_;
   EventQueue events_;
   std::vector<JobOutcome> outcomes_;
-  std::vector<ReplayEvent> replay_;
   std::vector<double> down_until_;  ///< Repair time of each down node.
   std::vector<Decision> decisions_;  ///< Reused across events.
 };
 
-/// Schedule the finish of every start, invalidate the in-flight finish of
-/// every kill, and log the replay record of each decision.
+/// Schedule the finish of every start and invalidate the in-flight finish
+/// of every kill.
 void Simulation::apply_decisions(double now) {
   for (const Decision& d : decisions_) {
     const std::size_t idx = static_cast<std::size_t>(d.job);
-    BGL_CHECK(idx < clock_.size(), "decision refers to unknown job");
-    JobClock& c = clock_[idx];
-    ReplayEventType type = ReplayEventType::kStart;
+    BGL_CHECK(idx < finish_gen_.size(), "decision refers to unknown job");
     switch (d.kind) {
       case DecisionKind::kStart:
-        c.entry = d.entry;
-        ++c.gen;
         events_.push(bgl::Event{
             now + walltime_for_work(service_.remaining_work(d.job), config_.ckpt),
-            EventType::kFinish, d.job, c.gen, 0});
+            EventType::kFinish, d.job, ++finish_gen_[idx], 0});
         break;
       case DecisionKind::kMigrate:
-        c.entry = d.entry;
-        type = ReplayEventType::kMigration;
         break;
       case DecisionKind::kKill:
-        ++c.gen;
-        c.entry = -1;
-        type = ReplayEventType::kKill;
+        ++finish_gen_[idx];
         break;
-    }
-    if (config_.record_replay) {
-      replay_.push_back(
-          ReplayEvent{now, type, workload_.jobs[idx].id, -1, d.entry});
     }
   }
 }
 
 void Simulation::arrive(std::size_t index, double now) {
-  if (config_.record_replay) {
-    replay_.push_back(ReplayEvent{now, ReplayEventType::kArrival,
-                                  workload_.jobs[index].id, -1, -1});
-  }
   const Job& j = workload_.jobs[index];
   Event submit;
   submit.kind = EventKind::kSubmit;
@@ -133,11 +112,6 @@ void Simulation::arrive(std::size_t index, double now) {
 }
 
 void Simulation::finish(std::size_t index, double now) {
-  if (config_.record_replay) {
-    replay_.push_back(ReplayEvent{now, ReplayEventType::kFinish,
-                                  workload_.jobs[index].id, -1,
-                                  clock_[index].entry});
-  }
   Event complete;
   complete.kind = EventKind::kComplete;
   complete.time = now;
@@ -151,10 +125,6 @@ void Simulation::finish(std::size_t index, double now) {
 }
 
 void Simulation::fail(int node, double now) {
-  if (config_.record_replay) {
-    replay_.push_back(
-        ReplayEvent{now, ReplayEventType::kNodeFailure, 0, node, -1});
-  }
   const bool down = config_.failure_semantics == FailureSemantics::kDownFor &&
                     config_.node_downtime > 0.0;
   if (down) {
@@ -203,7 +173,7 @@ SimResult Simulation::run() {
         arrive(job, e.time);
         break;
       case EventType::kFinish:
-        if (clock_[job].gen != e.tag) continue;  // the run was killed
+        if (finish_gen_[job] != e.tag) continue;  // the run was killed
         finish(job, e.time);
         break;
       case EventType::kFailure:
@@ -241,7 +211,6 @@ SimResult Simulation::run() {
 
   SimResult result = service_.summary();
   result.outcomes = std::move(outcomes_);
-  result.replay = std::move(replay_);
   return result;
 }
 

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -250,6 +251,88 @@ TEST(TraceAudit, DetectsOverlappingPartitions) {
   const AuditReport report = audit_string(t.str());
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, ViolationCode::kOverlap)) << codes_of(report);
+}
+
+/// Two disjoint 64-node entries of the 4x4x8 catalog.
+std::pair<int, int> disjoint_halves(const PartitionCatalog& cat) {
+  const auto [first, last] = cat.size_range(64);
+  for (int b = first + 1; b < last; ++b) {
+    if (!cat.entry(b).mask.intersects(cat.entry(first).mask)) return {first, b};
+  }
+  return {-1, -1};
+}
+
+/// A hand-written, otherwise clean trace: jobs 1 and 2 (64 nodes, runtime
+/// 100) start at t=0 on entries `a` and `b`, the (job, from, to) moves run
+/// at t=50 as one migration batch, and jobs 1 and 2 finish at t=100 on
+/// entries `final1` and `final2`.
+std::string migration_trace(int a, int b,
+                            const std::vector<std::tuple<int, int, int>>& moves,
+                            int final1, int final2) {
+  std::ostringstream t;
+  t << "{\"type\":\"sim_begin\",\"t\":0,\"machine\":\"4x4x8\",\"nodes\":128,"
+       "\"topology\":\"torus\",\"scheduler\":\"balancing\",\"policy\":\"bal\","
+       "\"predictor\":\"paper\",\"alpha\":0.1,\"backfill\":\"easy\","
+       "\"migration\":true,\"jobs\":2,\"failure_events\":0}\n";
+  for (const int job : {1, 2}) {
+    t << "{\"type\":\"job_submit\",\"t\":0,\"job\":" << job
+      << ",\"size\":64,\"alloc_size\":64,\"estimate\":100,\"runtime\":100}\n";
+  }
+  for (const auto& [job, entry] : {std::pair{1, a}, std::pair{2, b}}) {
+    t << "{\"type\":\"sched_decision\",\"t\":0,\"job\":" << job
+      << ",\"policy\":\"bal\",\"entry\":" << entry
+      << ",\"candidates\":1,\"l_mfp\":0,\"l_pf\":0,\"e_loss\":0,"
+         "\"mfp_after\":0,\"flags_in_chosen\":0,\"backfill\":false}\n";
+    t << "{\"type\":\"job_start\",\"t\":0,\"job\":" << job << ",\"entry\":"
+      << entry << ",\"alloc_size\":64,\"wait_so_far\":0,\"restarts\":0}\n";
+  }
+  for (const auto& [job, from, to] : moves) {
+    t << "{\"type\":\"migration\",\"t\":50,\"job\":" << job
+      << ",\"from_entry\":" << from << ",\"to_entry\":" << to << "}\n";
+  }
+  for (const auto& [job, entry] : {std::pair{1, final1}, std::pair{2, final2}}) {
+    t << "{\"type\":\"job_finish\",\"t\":100,\"job\":" << job
+      << ",\"entry\":" << entry
+      << ",\"wait\":0,\"response\":100,\"bounded_slowdown\":1,\"restarts\":0}\n";
+  }
+  t << "{\"type\":\"sim_end\",\"t\":100,\"jobs_completed\":2,\"span\":100,"
+       "\"avg_wait\":0,\"avg_response\":100,\"avg_bounded_slowdown\":1,"
+       "\"utilization\":1,\"unused\":0,\"lost\":0,\"job_kills\":0,"
+       "\"migrations\":"
+    << moves.size()
+    << ",\"checkpoints\":0,\"work_lost_node_seconds\":0}\n";
+  return t.str();
+}
+
+TEST(TraceAudit, MigrationRotationPassesStrict) {
+  // Two jobs swap partitions at one timestamp: legal, because the service
+  // releases every mover before any re-allocates.
+  const auto [a, b] = disjoint_halves(PartitionCatalog(Dims::bluegene_l()));
+  ASSERT_GE(a, 0);
+  const AuditReport report =
+      audit_string(migration_trace(a, b, {{1, a, b}, {2, b, a}}, b, a),
+                   AuditOptions{.strict = true});
+  EXPECT_TRUE(report.ok()) << codes_of(report);
+}
+
+TEST(TraceAudit, DetectsMigrationOntoHeldPartition) {
+  // Job 1 moves onto job 2's partition while job 2 stays put.
+  const auto [a, b] = disjoint_halves(PartitionCatalog(Dims::bluegene_l()));
+  ASSERT_GE(a, 0);
+  const AuditReport report =
+      audit_string(migration_trace(a, b, {{1, a, b}}, b, b));
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_code(report, ViolationCode::kOverlap)) << codes_of(report);
+}
+
+TEST(TraceAudit, DetectsFinishOfUnsubmittedJob) {
+  const auto [a, b] = disjoint_halves(PartitionCatalog(Dims::bluegene_l()));
+  ASSERT_GE(a, 0);
+  std::string trace = migration_trace(a, b, {}, a, b);
+  ASSERT_TRUE(corrupt_field(trace, "\"type\":\"job_finish\"", "job", "9"));
+  const AuditReport report = audit_string(trace);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(has_code(report, ViolationCode::kLifecycle)) << codes_of(report);
 }
 
 TEST(TraceAudit, DetectsRewrittenEntryAsOverlapOnRealTrace) {

@@ -1,7 +1,9 @@
 // Tests of the online SchedulerService (src/svc/service.hpp) and the
 // session loop (src/svc/server.hpp): typed rejections that leave the state
 // untouched, recovery from malformed protocol lines, fuzzed corrupted
-// streams, and a strict trace_audit pass over a service-emitted trace.
+// streams, a strict trace_audit pass over a service-emitted trace, and the
+// allocation book (each running job's partition, and failure victims read
+// from it) across starts, releases, kills and migrations.
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
@@ -519,6 +521,266 @@ TEST(SvcService, AdaptivePredictorNeedsNoOracleAndLearnsFromEvents) {
   service.handle(submit(20.0, 1, 1, 3600.0), out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(service.stats().failures, 1u);
+}
+
+// --- The service's allocation book -------------------------------------
+// Each running job's partition is JobRec::entry, and the union of those
+// partitions is the occupancy every start, release, migration and failure
+// victim is read from. These tests drive that book through the public API.
+
+// The partition a start or migrate decision names for `job`, or -1.
+int placed_entry(const std::vector<Decision>& out, std::uint64_t job) {
+  for (const Decision& d : out) {
+    if (d.job == job &&
+        (d.kind == DecisionKind::kStart || d.kind == DecisionKind::kMigrate)) {
+      return d.entry;
+    }
+  }
+  return -1;
+}
+
+std::vector<std::uint64_t> killed_jobs(const std::vector<Decision>& out) {
+  std::vector<std::uint64_t> ids;
+  for (const Decision& d : out) {
+    if (d.kind == DecisionKind::kKill) ids.push_back(d.job);
+  }
+  return ids;
+}
+
+TEST(Occupancy, AllocateReleaseLifecycle) {
+  SchedulerService service((ServiceConfig()));
+  EXPECT_EQ(service.usable_free_nodes(), 128);
+
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 7, 32, 1000.0), out);
+  const int entry = placed_entry(out, 7);
+  ASSERT_GE(entry, 0);
+  EXPECT_EQ(service.catalog().entry(entry).mask.count(), 32);
+  EXPECT_EQ(service.usable_free_nodes(), 96);
+  EXPECT_EQ(service.running_jobs(), 1u);
+
+  // A second job gets a partition disjoint from the first.
+  out.clear();
+  service.handle(submit(1.0, 8, 64, 1000.0), out);
+  const int second = placed_entry(out, 8);
+  ASSERT_GE(second, 0);
+  EXPECT_FALSE(service.catalog().entry(second).mask.intersects(
+      service.catalog().entry(entry).mask));
+  EXPECT_EQ(service.usable_free_nodes(), 32);
+
+  out.clear();
+  service.handle(complete(10.0, 7), out);
+  EXPECT_EQ(service.usable_free_nodes(), 64);
+  out.clear();
+  service.handle(complete(11.0, 8), out);
+  EXPECT_EQ(service.usable_free_nodes(), 128);
+  EXPECT_EQ(service.running_jobs(), 0u);
+}
+
+TEST(Occupancy, HeldPartitionWaitsForRelease) {
+  // Two full-machine jobs can never hold the machine at once: the second
+  // waits, and takes the same partition only after the first releases it.
+  SchedulerService service((ServiceConfig()));
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 1, 128, 1000.0), out);
+  const int entry = placed_entry(out, 1);
+  ASSERT_GE(entry, 0);
+  out.clear();
+  service.handle(submit(1.0, 2, 128, 1000.0), out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(service.waiting_jobs(), 1u);
+  EXPECT_EQ(service.usable_free_nodes(), 0);
+
+  out.clear();
+  service.handle(complete(5.0, 1), out);
+  EXPECT_EQ(placed_entry(out, 2), entry);
+  EXPECT_EQ(service.running_jobs(), 1u);
+  EXPECT_EQ(service.waiting_jobs(), 0u);
+}
+
+TEST(Occupancy, DuplicateIdThrows) {
+  // A duplicate of a running job's id is refused and the original keeps
+  // its partition.
+  SchedulerService service((ServiceConfig()));
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 1, 1, 1000.0), out);
+  ASSERT_GE(placed_entry(out, 1), 0);
+  EXPECT_EQ(refusal(service, submit(1.0, 1, 1, 1000.0)),
+            RejectCode::kDuplicateJob);
+  EXPECT_EQ(service.running_jobs(), 1u);
+  EXPECT_EQ(service.usable_free_nodes(), 127);
+  out.clear();
+  service.handle(complete(2.0, 1), out);
+  EXPECT_EQ(service.usable_free_nodes(), 128);
+}
+
+TEST(Occupancy, ReleaseUnknownThrows) {
+  SchedulerService service((ServiceConfig()));
+  EXPECT_EQ(refusal(service, complete(0.0, 404)), RejectCode::kUnknownJob);
+
+  // A waiting job holds no partition, so completing it releases nothing
+  // and is refused as well.
+  std::vector<Decision> out;
+  service.handle(submit(1.0, 1, 128, 1000.0), out);
+  service.handle(submit(1.0, 2, 128, 1000.0), out);
+  ASSERT_EQ(service.waiting_jobs(), 1u);
+  EXPECT_EQ(refusal(service, complete(2.0, 2)), RejectCode::kNotRunning);
+  EXPECT_EQ(service.running_jobs(), 1u);
+  EXPECT_EQ(service.usable_free_nodes(), 0);
+}
+
+TEST(Occupancy, AllocationsContainingNode) {
+  SchedulerService service((ServiceConfig()));
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 1, 64, 10000.0), out);
+  service.handle(submit(0.0, 2, 32, 10000.0), out);
+  const int e1 = placed_entry(out, 1);
+  const int e2 = placed_entry(out, 2);
+  ASSERT_GE(e1, 0);
+  ASSERT_GE(e2, 0);
+  const NodeSet& m1 = service.catalog().entry(e1).mask;
+  const NodeSet& m2 = service.catalog().entry(e2).mask;
+  int in1 = -1, in2 = -1, idle = -1;
+  for (int n = 0; n < 128; ++n) {
+    if (m1.test(n) && in1 < 0) in1 = n;
+    if (m2.test(n) && in2 < 0) in2 = n;
+    if (!m1.test(n) && !m2.test(n) && idle < 0) idle = n;
+  }
+  ASSERT_GE(idle, 0);
+
+  // A node held by no job has no victim.
+  out.clear();
+  service.handle(fail(10.0, idle), out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(service.stats().failures_hitting_jobs, 0u);
+
+  // A held node's only victim is the job whose partition holds it.
+  out.clear();
+  service.handle(fail(20.0, in2), out);
+  EXPECT_EQ(killed_jobs(out), std::vector<std::uint64_t>{2});
+  out.clear();
+  service.handle(fail(30.0, in1), out);
+  EXPECT_EQ(killed_jobs(out), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(service.stats().failures_hitting_jobs, 2u);
+}
+
+TEST(Occupancy, ClearDropsEverything) {
+  // Once every job has finished or been killed off a down machine, the book
+  // holds nothing: only the down nodes are unusable.
+  SchedulerService service((ServiceConfig()));
+  std::vector<Decision> out;
+  service.handle(submit(0.0, 1, 32, 1000.0), out);
+  service.handle(submit(0.0, 2, 32, 1000.0), out);
+  service.handle(submit(0.0, 3, 64, 1000.0), out);
+  ASSERT_EQ(service.running_jobs(), 3u);
+  ASSERT_EQ(service.usable_free_nodes(), 0);
+  const NodeSet& m3 = service.catalog().entry(placed_entry(out, 3)).mask;
+  int node = 0;
+  while (!m3.test(node)) ++node;
+
+  out.clear();
+  service.handle(complete(5.0, 1), out);
+  service.handle(complete(6.0, 2), out);
+  ASSERT_EQ(service.usable_free_nodes(), 64);
+
+  // Job 3's node goes down: job 3 is killed and restarts on the healthy
+  // half, away from the down node.
+  out.clear();
+  service.handle(fail(7.0, node, /*down=*/true), out);
+  EXPECT_EQ(killed_jobs(out), std::vector<std::uint64_t>{3});
+  const int restart = placed_entry(out, 3);
+  ASSERT_GE(restart, 0);
+  EXPECT_FALSE(service.catalog().entry(restart).mask.test(node));
+  EXPECT_EQ(service.usable_free_nodes(), 63);
+
+  out.clear();
+  service.handle(complete(8.0, 3), out);
+  EXPECT_EQ(service.running_jobs(), 0u);
+  EXPECT_EQ(service.usable_free_nodes(), 127);
+}
+
+TEST(SvcService, MigratedJobIsAVictimOnlyOnItsNewPartition) {
+  // Fill the machine with four 32-node jobs, then free two whose union is
+  // not a partition: a 64-node job can only start by re-packing a survivor.
+  SchedulerService service((ServiceConfig()));
+  const PartitionCatalog& catalog = service.catalog();
+  std::vector<Decision> out;
+  std::vector<int> entry(5, -1);
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    out.clear();
+    service.handle(submit(0.0, id, 32, 10000.0), out);
+    entry[id] = placed_entry(out, id);
+    ASSERT_GE(entry[id], 0);
+  }
+  const auto is_partition = [&](const NodeSet& nodes) {
+    const auto [first, last] = catalog.size_range(nodes.count());
+    for (int e = first; e < last; ++e) {
+      if (catalog.entry(e).mask == nodes) return true;
+    }
+    return false;
+  };
+  std::uint64_t a = 0, b = 0;
+  for (std::uint64_t i = 1; i <= 4 && a == 0; ++i) {
+    for (std::uint64_t j = i + 1; j <= 4 && a == 0; ++j) {
+      NodeSet u = catalog.entry(entry[i]).mask;
+      u |= catalog.entry(entry[j]).mask;
+      if (!is_partition(u)) a = i, b = j;
+    }
+  }
+  ASSERT_NE(a, 0u) << "every pair of 32-node jobs forms a partition";
+  out.clear();
+  service.handle(complete(10.0, a), out);
+  service.handle(complete(10.0, b), out);
+  out.clear();
+  service.handle(submit(20.0, 5, 64, 10000.0), out);
+  ASSERT_GE(placed_entry(out, 5), 0);
+  const auto moved = std::find_if(out.begin(), out.end(), [](const Decision& d) {
+    return d.kind == DecisionKind::kMigrate;
+  });
+  ASSERT_NE(moved, out.end());
+  EXPECT_EQ(moved->from_entry, entry[moved->job]);
+
+  // Every job's partition after the pass, from the decisions alone.
+  for (const Decision& d : out) {
+    if (d.kind == DecisionKind::kMigrate || d.kind == DecisionKind::kStart) {
+      entry.resize(std::max<std::size_t>(entry.size(), d.job + 1), -1);
+      entry[d.job] = d.entry;
+    }
+  }
+  entry[a] = entry[b] = -1;
+  const auto holder = [&](int node) -> std::uint64_t {
+    for (std::uint64_t id = 1; id < entry.size(); ++id) {
+      if (entry[id] >= 0 && catalog.entry(entry[id]).mask.test(node)) return id;
+    }
+    return 0;
+  };
+
+  // A node the mover left behind belongs to whoever holds it now (never
+  // the mover); a node of the mover's new partition kills the mover.
+  const std::uint64_t mover = moved->job;
+  const NodeSet& old_mask = catalog.entry(moved->from_entry).mask;
+  const NodeSet& new_mask = catalog.entry(moved->entry).mask;
+  int left = -1, arrived = -1;
+  for (int n = 0; n < catalog.num_nodes(); ++n) {
+    if (old_mask.test(n) && !new_mask.test(n) && left < 0) left = n;
+    if (new_mask.test(n) && !old_mask.test(n) && arrived < 0) arrived = n;
+  }
+  ASSERT_GE(left, 0);
+  ASSERT_GE(arrived, 0);
+  const std::uint64_t heir = holder(left);
+  ASSERT_NE(heir, mover);
+  ASSERT_EQ(holder(arrived), mover);
+
+  out.clear();
+  service.handle(fail(30.0, arrived), out);
+  EXPECT_EQ(killed_jobs(out), std::vector<std::uint64_t>{mover});
+  out.clear();
+  service.handle(fail(40.0, left), out);
+  if (heir == 0) {
+    EXPECT_TRUE(killed_jobs(out).empty());
+  } else {
+    EXPECT_EQ(killed_jobs(out), std::vector<std::uint64_t>{heir});
+  }
 }
 
 }  // namespace

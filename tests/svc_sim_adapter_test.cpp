@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "failure/generator.hpp"
 #include "obs/reader.hpp"
@@ -181,13 +182,77 @@ std::uint64_t as_u64(int v) {
   return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
 }
 
-TEST(SvcSimAdapter, OutcomesAndReplayMatchFrozenDigests) {
+/// One arrival, start, finish, kill, migration or node failure, read back
+/// from a run's JSONL trace. `type` holds the codes the frozen event digest
+/// was recorded with: 0 arrival (job_submit), 1 start, 2 finish, 3 kill,
+/// 4 migration (entry = to_entry), 5 node failure (job 0, entry -1).
+struct TracedEvent {
+  double time = 0.0;
+  int type = 0;
+  std::uint64_t job = 0;  ///< Workload job number (trace lines carry indices).
+  int node = -1;
+  int entry = -1;
+};
+
+std::vector<TracedEvent> traced_events(const std::string& trace,
+                                       const Workload& workload) {
+  std::vector<TracedEvent> events;
+  std::istringstream lines(trace);
+  obs::TraceReader reader(lines);
+  obs::TraceRecord rec;
+  const auto job = [&] {
+    return workload.jobs.at(static_cast<std::size_t>(rec.require_int("job"))).id;
+  };
+  const auto field = [&](const char* key) {
+    return static_cast<int>(rec.require_int(key));
+  };
+  while (reader.next(rec)) {
+    switch (rec.type()) {
+      case obs::EventType::kJobSubmit:
+        events.push_back({rec.t(), 0, job(), -1, -1});
+        break;
+      case obs::EventType::kJobStart:
+        events.push_back({rec.t(), 1, job(), -1, field("entry")});
+        break;
+      case obs::EventType::kJobFinish:
+        events.push_back({rec.t(), 2, job(), -1, field("entry")});
+        break;
+      case obs::EventType::kJobKill:
+        events.push_back({rec.t(), 3, job(), -1, field("entry")});
+        break;
+      case obs::EventType::kMigration:
+        events.push_back({rec.t(), 4, job(), -1, field("to_entry")});
+        break;
+      case obs::EventType::kNodeFailure:
+        events.push_back({rec.t(), 5, 0, field("node"), -1});
+        break;
+      default:
+        break;
+    }
+  }
+  return events;
+}
+
+SimResult traced_run(SimConfig config, std::string& trace) {
   const Inputs& in = small_inputs();
+  std::ostringstream out;
+  obs::TraceSink sink(out);
+  config.obs.trace = &sink;
+  SimResult r = run_simulation(in.workload, in.trace, config);
+  sink.flush();
+  trace = out.str();
+  return r;
+}
+
+// The trace is the simulator's one event record: the list of every
+// arrival, start, finish, kill, migration and failure read back from it is
+// pinned, as are the per-job outcomes and the aggregates of the same run.
+TEST(SvcSimAdapter, OutcomesAndTracedEventsMatchFrozenDigests) {
   SimConfig config;
   config.scheduler = SchedulerKind::kKrevat;
   config.collect_outcomes = true;
-  config.record_replay = true;
-  const SimResult r = run_simulation(in.workload, in.trace, config);
+  std::string trace;
+  const SimResult r = traced_run(config, trace);
 
   std::uint64_t outcomes = 0;
   for (const JobOutcome& o : r.outcomes) {
@@ -197,19 +262,49 @@ TEST(SvcSimAdapter, OutcomesAndReplayMatchFrozenDigests) {
     outcomes = mix(outcomes, bits(o.finish));
     outcomes = mix(outcomes, as_u64(o.restarts));
   }
-  std::uint64_t replay = 0;
-  for (const ReplayEvent& e : r.replay) {
-    replay = mix(replay, bits(e.time));
-    replay = mix(replay, static_cast<std::uint64_t>(e.type));
-    replay = mix(replay, e.job_id);
-    replay = mix(replay, as_u64(e.node));
-    replay = mix(replay, as_u64(e.entry_index));
+  const std::vector<TracedEvent> events =
+      traced_events(trace, small_inputs().workload);
+  std::uint64_t digest = 0;
+  for (const TracedEvent& e : events) {
+    digest = mix(digest, bits(e.time));
+    digest = mix(digest, static_cast<std::uint64_t>(e.type));
+    digest = mix(digest, e.job);
+    digest = mix(digest, as_u64(e.node));
+    digest = mix(digest, as_u64(e.entry));
   }
   EXPECT_EQ(r.outcomes.size(), 350u);
   EXPECT_EQ(outcomes, 0xbfdb0e2c8211dcd1ull);
-  EXPECT_EQ(r.replay.size(), 1154u);
-  EXPECT_EQ(replay, 0x366bf8c98d5a1ed2ull);
+  EXPECT_EQ(events.size(), 1154u);
+  EXPECT_EQ(digest, 0x366bf8c98d5a1ed2ull);
   EXPECT_EQ(sim_result_checksum(r), 0x0253734aa5126296ull);
+}
+
+// Every run segment the trace records ends exactly once, and its event
+// counts are the SimResult's counters. Without backfill and with nodes held
+// down, the balancing scheduler re-packs: the run migrates.
+TEST(SvcSimAdapter, TracedEventCountsMatchSimResult) {
+  SimConfig config;
+  config.alpha = 0.1;
+  config.sched.backfill = BackfillMode::kNone;
+  config.sched.migration = true;
+  config.failure_semantics = FailureSemantics::kDownFor;
+  config.node_downtime = 3600.0;
+  std::string trace;
+  const SimResult r = traced_run(config, trace);
+
+  std::size_t count[6] = {};
+  for (const TracedEvent& e : traced_events(trace, small_inputs().workload)) {
+    ++count[e.type];
+  }
+  const auto [arrivals, starts, finishes, kills, migrations, failures] = count;
+  EXPECT_EQ(arrivals, r.jobs_completed);
+  EXPECT_EQ(finishes, r.jobs_completed);
+  EXPECT_EQ(kills, r.job_kills);
+  EXPECT_EQ(starts, finishes + kills);
+  EXPECT_EQ(failures, r.failures_total);
+  EXPECT_EQ(migrations, r.migrations);
+  EXPECT_GT(kills, 0u);
+  EXPECT_GT(migrations, 0u);
 }
 
 // The service owns every §6.1 aggregate, so the sim_end trace line and the

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "torus/finders.hpp"
-#include "torus/occupancy.hpp"
 #include "util/rng.hpp"
 
 namespace bgl {
@@ -186,67 +185,6 @@ TEST_F(CatalogTest, FirstFreeIndexRespectsStart) {
   const int first = catalog().first_free_index(occ);
   const int second = catalog().first_free_index(occ, first + 1);
   EXPECT_GT(second, first);
-}
-
-TEST(Occupancy, AllocateReleaseLifecycle) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  EXPECT_EQ(torus.free_nodes(), 128);
-
-  const auto [first, last] = catalog.size_range(32);
-  ASSERT_LT(first, last);
-  torus.allocate(7, first);
-  EXPECT_EQ(torus.free_nodes(), 96);
-  EXPECT_EQ(torus.entry_of(7), first);
-  EXPECT_FALSE(torus.is_free(first));
-  EXPECT_EQ(torus.num_allocations(), 1u);
-
-  torus.release(7);
-  EXPECT_EQ(torus.free_nodes(), 128);
-  EXPECT_EQ(torus.entry_of(7), -1);
-}
-
-TEST(Occupancy, DoubleAllocateSamePartitionThrows) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  const auto [first, last] = catalog.size_range(128);
-  ASSERT_LT(first, last);
-  torus.allocate(1, first);
-  EXPECT_THROW(torus.allocate(2, first), ContractViolation);
-}
-
-TEST(Occupancy, DuplicateIdThrows) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  const auto [first, last] = catalog.size_range(1);
-  torus.allocate(1, first);
-  EXPECT_THROW(torus.allocate(1, first + 1), ContractViolation);
-}
-
-TEST(Occupancy, ReleaseUnknownThrows) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  EXPECT_THROW(torus.release(404), ContractViolation);
-}
-
-TEST(Occupancy, AllocationsContainingNode) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  const auto [first, last] = catalog.size_range(128);
-  torus.allocate(9, first);
-  const auto ids = torus.allocations_containing(0);
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(ids[0], 9u);
-}
-
-TEST(Occupancy, ClearDropsEverything) {
-  PartitionCatalog catalog(kBgl);
-  TorusOccupancy torus(catalog);
-  const auto [first, last] = catalog.size_range(64);
-  torus.allocate(5, first);
-  torus.clear();
-  EXPECT_EQ(torus.free_nodes(), 128);
-  EXPECT_EQ(torus.num_allocations(), 0u);
 }
 
 TEST(CatalogGeneric, SmallTorusEntriesExhaustive) {
