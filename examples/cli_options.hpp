@@ -6,7 +6,9 @@
 // Nothing is ever silently defaulted: `--jobs banana` is an error naming
 // the flag and the offending token, never "0 jobs". main()
 // catches ConfigError, prints it to stderr, and exits 2 (usage error),
-// matching the exp::ExperimentConfig semantics elsewhere in the repo.
+// matching the exp::ExperimentConfig semantics elsewhere in the repo. So is
+// a flag pairing the scheduler refuses (--conservative-backfill with any
+// --algorithm but krevat).
 #pragma once
 
 #include <cstdint>
@@ -124,6 +126,11 @@ inline Options parse_cli_options(int argc, const char* const* argv) {
     } else {
       throw bgl::ConfigError("unknown option: " + arg);
     }
+  }
+  // An unknown --algorithm is reported by the caller; a known one must run
+  // the chosen backfill mode.
+  if (const auto algorithm = bgl::parse_sched_algorithm(o.algorithm)) {
+    bgl::require_supported_backfill(*algorithm, o.backfill);
   }
   return o;
 }

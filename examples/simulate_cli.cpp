@@ -21,6 +21,8 @@
 //     --flag-window S     adaptive: base per-node flag window in seconds
 //     --alpha A           confidence/accuracy in [0,1] (default 0.1)
 //     --no-backfill --conservative-backfill --no-migration
+//                         (--conservative-backfill needs --algorithm krevat;
+//                         other pairings exit 2)
 //     --ckpt-interval S   enable checkpointing with this interval (seconds)
 //     --downtime S        nodes stay down S seconds after failing
 //     --seed N            master seed (default 42)

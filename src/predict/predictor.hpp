@@ -116,24 +116,21 @@ class BalancingPredictor final : public FaultPredictor {
 };
 
 /// §4.2: boolean forecast; true failing nodes are reported with probability
-/// `accuracy` (false-negative rate 1 - accuracy); healthy nodes are reported
-/// failing with probability `false_positive_rate` (0 in the paper).
+/// `accuracy` (false-negative rate 1 - accuracy); healthy nodes are never
+/// reported (the paper sets the false-positive rate to zero).
 class TieBreakPredictor final : public FaultPredictor {
  public:
   TieBreakPredictor(const FailureTrace& trace, double accuracy,
-                    double false_positive_rate = 0.0,
                     std::uint64_t seed = 0x74696562726bULL);
   NodeSet flagged_nodes(double t0, double t1, std::uint64_t query_key) const override;
   void flagged_nodes_into(NodeSet& out, double t0, double t1,
                           std::uint64_t query_key) const override;
   double confidence() const override { return 1.0; }
   double accuracy() const { return accuracy_; }
-  double false_positive_rate() const { return false_positive_rate_; }
 
  private:
   const FailureTrace* trace_;
   double accuracy_;
-  double false_positive_rate_;
   std::uint64_t seed_;
   /// Ground-truth scratch for the in-place query path. Predictors are
   /// consulted from one scheduler pass at a time (each driver owns its

@@ -62,9 +62,8 @@ std::unique_ptr<FaultPredictor> make_predictor(const PredictorSpec& spec,
         case PaperRole::kBalancing:
           return std::make_unique<BalancingPredictor>(need_oracle(), spec.alpha);
         case PaperRole::kTieBreak:
-          return std::make_unique<TieBreakPredictor>(
-              need_oracle(), spec.alpha, spec.tiebreak_false_positive_rate,
-              spec.seed);
+          return std::make_unique<TieBreakPredictor>(need_oracle(), spec.alpha,
+                                                     spec.seed);
       }
       break;
     case PredictorModel::kHistory:

@@ -67,7 +67,6 @@ struct PredictorSpec {
   PaperRole paper_role = PaperRole::kNull;  ///< Consulted for kPaper only.
   /// Confidence (balancing/history/adaptive) or accuracy (tie-break).
   double alpha = 0.0;
-  double tiebreak_false_positive_rate = 0.0;
   double history_lookback = 7.0 * 86400.0;
   std::uint64_t seed = 1;  ///< Salts the tie-break predictor's coins.
   AdaptiveConfig adaptive; ///< kAdaptive knobs; confidence comes from alpha.

@@ -22,6 +22,9 @@
 // That is fine for the paper-scale queue views this algorithm targets
 // (bench_baselines); the krevat baseline remains the hot-path default.
 //
+// The pass starts from the shared FCFS prefix (SchedulingPass::
+// fcfs_prefix); the blocked head it stops at opens the profile.
+//
 // Edge cases: a blocked job whose reservation cannot be computed at all
 // (down-node obstacles cover every partition of its size even on an empty
 // machine) stops the pass when it is the first blocked job — FCFS order
@@ -124,32 +127,42 @@ class ConservativeAlgorithm final : public ISchedulingAlgorithm {
   void run(SchedulingPass& p) const override {
     const std::vector<WaitingJob>& queue = p.queue();
     const SchedulerConfig& config = p.config();
-    const bool fillers_allowed =
-        config.backfill != BackfillMode::kNone && config.backfill_depth > 0;
 
+    const std::size_t head = p.fcfs_prefix();
+    if (head >= queue.size()) return;
+
+    // Grant a blocked job its reservation, in queue order. reserve_against
+    // builds the full schedule profile itself rather than going through
+    // pass.reservation(), so the span is opened here.
     ArenaVector<ProfileSlot> profile(p.scratch_arena());
-    int examined = 0;
-    std::size_t q = 0;
-    while (q < queue.size()) {
-      if (p.placed(q)) {
-        ++q;
-        continue;
+    auto reserve = [&](const WaitingJob& job) {
+      std::optional<ProfileSlot> slot;
+      {
+        obs::ScopedPhase res_span(p.profiler(), obs::Phase::kReservation);
+        slot = reserve_against(p, job.alloc_size, job.estimate, profile);
       }
-      const WaitingJob& job = queue[q];
+      if (!slot) return false;
+      Reservation granted;
+      granted.time = slot->start;
+      granted.entry = slot->entry;
+      p.note_reservation(job.id, granted);
+      profile.push_back(*slot);
+      return true;
+    };
+    // The blocked head opens the profile; one that can never fit stops the
+    // pass, keeping strict FCFS.
+    if (!reserve(queue[head])) return;
+    if (config.backfill == BackfillMode::kNone || config.backfill_depth <= 0) {
+      return;
+    }
 
-      if (profile.empty()) {
-        // FCFS phase: nothing is blocked yet.
-        const std::span<const int> candidates =
-            p.free_candidates(job.alloc_size);
-        if (!candidates.empty()) {
-          p.place(q, candidates, /*backfill=*/false);
-          ++q;
-          continue;
-        }
-        if (p.try_migration(job.alloc_size)) continue;  // retry compacted
-      } else {
-        // Backfill phase: admission must respect every reservation.
-        if (!fillers_allowed || examined >= config.backfill_depth) break;
+    // Backfill phase: admission must respect every reservation.
+    int examined = 0;
+    for (std::size_t q = head + 1;
+         q < queue.size() && examined < config.backfill_depth; ++q) {
+      if (p.placed(q)) continue;
+      const WaitingJob& job = queue[q];
+      {
         obs::ScopedPhase backfill_span(p.profiler(), obs::Phase::kBackfill);
         ++examined;
         const std::span<const int> candidates =
@@ -170,30 +183,13 @@ class ConservativeAlgorithm final : public ISchedulingAlgorithm {
             binding.time = profile[0].start;
             binding.entry = profile[0].entry;
             p.place(q, allowed, /*backfill=*/true, &binding);
-            ++q;
             continue;
           }
         }
       }
-
-      // Blocked: grant this job its reservation, in queue order.
-      // (reserve_against builds the full schedule profile itself rather
-      // than going through pass.reservation(), so the span is opened here.)
-      std::optional<ProfileSlot> slot;
-      {
-        obs::ScopedPhase res_span(p.profiler(), obs::Phase::kReservation);
-        slot = reserve_against(p, job.alloc_size, job.estimate, profile);
-      }
-      if (slot) {
-        Reservation granted;
-        granted.time = slot->start;
-        granted.entry = slot->entry;
-        p.note_reservation(job.id, granted);
-        profile.push_back(*slot);
-      } else if (profile.empty()) {
-        break;  // first blocked job can never fit: keep strict FCFS
-      }
-      ++q;
+      // Blocked behind the profile: a job whose reservation cannot be
+      // computed is left unprotected until its obstacles clear.
+      reserve(job);
     }
   }
 };

@@ -1,5 +1,7 @@
 #include "sched/algorithm.hpp"
 
+#include <string>
+
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "sched/migration.hpp"
@@ -25,13 +27,27 @@ std::optional<SchedAlgorithm> parse_sched_algorithm(std::string_view name) {
   return std::nullopt;
 }
 
+void require_supported_backfill(SchedAlgorithm algorithm,
+                                BackfillMode backfill) {
+  if (backfill == BackfillMode::kConservative &&
+      algorithm != SchedAlgorithm::kKrevat) {
+    throw ConfigError(
+        std::string("--conservative-backfill (BackfillMode::kConservative) "
+                    "runs under --algorithm krevat only, not --algorithm ") +
+        to_string(algorithm));
+  }
+}
+
 std::unique_ptr<ISchedulingAlgorithm> make_scheduling_algorithm(
     SchedAlgorithm algorithm) {
   switch (algorithm) {
-    case SchedAlgorithm::kKrevat: return make_krevat_algorithm();
-    case SchedAlgorithm::kEasy: return make_easy_algorithm(/*holdback=*/false);
+    case SchedAlgorithm::kKrevat:
+    case SchedAlgorithm::kEasy:
     case SchedAlgorithm::kEasyHoldback:
-      return make_easy_algorithm(/*holdback=*/true);
+      return make_fcfs_backfill_algorithm(
+          algorithm,
+          /*record_reservations=*/algorithm != SchedAlgorithm::kKrevat,
+          /*holdback=*/algorithm == SchedAlgorithm::kEasyHoldback);
     case SchedAlgorithm::kConservative: return make_conservative_algorithm();
   }
   BGL_CHECK(false, "unknown scheduling algorithm");
@@ -217,6 +233,27 @@ bool SchedulingPass::try_migration(int alloc_size) {
   // caller applies the migrations to everything but the index.
   idx_->reset(repack->occupied_after);
   return true;
+}
+
+std::size_t SchedulingPass::fcfs_prefix() {
+  std::size_t head = 0;
+  while (head < queue_->size()) {
+    if (placed(head)) {
+      ++head;
+      continue;
+    }
+    const int alloc_size = (*queue_)[head].alloc_size;
+    const std::span<const int> candidates = free_candidates(alloc_size);
+    if (!candidates.empty()) {
+      place(head, candidates, /*backfill=*/false);
+      ++head;
+      continue;
+    }
+    // Head job blocked: try compaction (once per pass), then retry it on the
+    // compacted torus.
+    if (!try_migration(alloc_size)) break;
+  }
+  return head;
 }
 
 std::optional<Reservation> SchedulingPass::reservation(int alloc_size) const {

@@ -15,22 +15,26 @@
 // scorer, any predictor, the migration machinery, and the incremental index
 // without re-implementing the bookkeeping or the observability contract.
 //
-// Four disciplines ship (SchedAlgorithm in types.hpp):
+// Four disciplines ship (SchedAlgorithm in types.hpp), from two loops.
+// Both start from the pass's FCFS prefix (SchedulingPass::fcfs_prefix):
 //
 //   krevat        algo_krevat.cpp — the paper's engine, frozen: decisions,
 //                 counters and traces are byte-identical to the pre-seam
 //                 scheduler (differential-tested and pinned by the golden
 //                 figure-CSV hashes in bench/golden/).
-//   easy          algo_easy.cpp — EASY backfilling; the blocked head holds
-//                 one explicit reservation recorded in the decision trail.
-//   easy-holdback algo_easy.cpp — EASY plus a free-node floor for fillers.
+//   easy          algo_krevat.cpp — the same loop under BackfillMode::kEasy;
+//                 the blocked head's reservation is recorded in the
+//                 decision trail and stamped on every backfill start.
+//   easy-holdback algo_krevat.cpp — easy plus a free-node floor for fillers.
 //   conservative  algo_conservative.cpp — a queue-order reservation profile;
 //                 fillers may delay no reserved job.
 //
 // To add an algorithm: implement ISchedulingAlgorithm in a new
-// algo_*.cpp, extend SchedAlgorithm + to_string/parse_sched_algorithm
-// (types.hpp / algorithm.cpp), and register it in
-// make_scheduling_algorithm(). docs/SCHEDULERS.md walks through it.
+// algo_*.cpp (starting from pass.fcfs_prefix() if it is FCFS-first), extend
+// SchedAlgorithm + to_string/parse_sched_algorithm (types.hpp /
+// algorithm.cpp), register it in make_scheduling_algorithm(), and say in
+// require_supported_backfill() which BackfillModes it runs.
+// docs/SCHEDULERS.md walks through it.
 #pragma once
 
 #include <memory>
@@ -125,6 +129,13 @@ class SchedulingPass {
   /// starts re-pointed); the caller should retry the blocked job.
   bool try_migration(int alloc_size);
 
+  /// The FCFS prefix every discipline starts from: start queued jobs in
+  /// order while each has a free candidate, giving the first that has none
+  /// one compaction attempt (try_migration) and a retry. Returns the
+  /// blocked head's queue position, or queue().size() when every job
+  /// started.
+  std::size_t fcfs_prefix();
+
   /// Earliest-start reservation for `alloc_size` against the live set.
   std::optional<Reservation> reservation(int alloc_size) const;
 
@@ -165,9 +176,14 @@ class ISchedulingAlgorithm {
 std::unique_ptr<ISchedulingAlgorithm> make_scheduling_algorithm(
     SchedAlgorithm algorithm);
 
-// Factories, one per algo_*.cpp (exposed for direct construction in tests).
-std::unique_ptr<ISchedulingAlgorithm> make_krevat_algorithm();
-std::unique_ptr<ISchedulingAlgorithm> make_easy_algorithm(bool holdback);
+// Factories, one per algo_*.cpp. The FCFS-backfill loop serves krevat, easy
+// and easy-holdback; make_scheduling_algorithm() fixes its two flags from
+// the SchedAlgorithm value (neither is a user-settable option):
+// `record_reservations` makes the pass note the head's reservation and
+// stamp it on every filler (easy, easy-holdback), `holdback` applies the
+// kHoldbackNodes floor (easy-holdback). `algorithm` names the instance.
+std::unique_ptr<ISchedulingAlgorithm> make_fcfs_backfill_algorithm(
+    SchedAlgorithm algorithm, bool record_reservations, bool holdback);
 std::unique_ptr<ISchedulingAlgorithm> make_conservative_algorithm();
 
 }  // namespace bgl

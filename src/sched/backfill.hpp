@@ -11,11 +11,12 @@
 // Note this is a *single-shot spatial* reservation against the current
 // running set — how many jobs hold one, and whether reservations stack into
 // a schedule profile, is the algorithm's discipline (src/sched/algorithm.hpp):
-// the krevat baseline reserves for the head only (or the first
-// reservation_depth jobs, each independently, under BackfillMode::
-// kConservative); the EASY algorithm records the head's reservation in the
-// trace; the conservative algorithm layers reservations into a profile so
-// no queued job is ever delayed (algo_conservative.cpp).
+// the FCFS-backfill loop of krevat/easy/easy-holdback (algo_krevat.cpp)
+// reserves for the head only (or, krevat under BackfillMode::kConservative,
+// for the first kReservationDepth jobs, each independently), and the easy
+// variants record the head's reservation in the trace; the conservative
+// algorithm layers reservations into a profile so no queued job is ever
+// delayed (algo_conservative.cpp).
 #pragma once
 
 #include <optional>

@@ -30,6 +30,7 @@ Scheduler::Scheduler(const PartitionCatalog& catalog,
       pass_scratch_(std::make_unique<SchedulerPassScratch>()) {
   BGL_CHECK(policy_ != nullptr, "scheduler requires a placement policy");
   BGL_CHECK(config_.backfill_depth >= 0, "backfill depth must be non-negative");
+  require_supported_backfill(config_.algorithm, config_.backfill);
 }
 
 Scheduler::~Scheduler() = default;

@@ -106,11 +106,13 @@ enum class BackfillMode {
   kNone,          ///< Strict FCFS: nothing may pass a blocked head job.
   kEasy,          ///< EASY: only the head job holds a reservation (the
                   ///  paper/Krevat behaviour).
-  kConservative,  ///< Every examined waiting job holds a reservation; a
-                  ///  filler may start only if it cannot delay any of them
-                  ///  (spatially conservative approximation: it must finish
-                  ///  before the earliest reservation or avoid every
-                  ///  reserved partition that starts before it finishes).
+  kConservative,  ///< The first kReservationDepth waiting jobs each hold a
+                  ///  reservation; a filler may start only if it cannot
+                  ///  delay any of them (spatially conservative
+                  ///  approximation: it must finish before the earliest
+                  ///  reservation or avoid every reserved partition that
+                  ///  starts before it finishes). krevat only: the other
+                  ///  algorithms fix their own reservation discipline.
 };
 
 const char* to_string(BackfillMode mode);
@@ -119,41 +121,48 @@ const char* to_string(BackfillMode mode);
 /// algorithm owns queue traversal and the reservation discipline; placement
 /// scoring (PlacementPolicy) and fault prediction (FaultPredictor) remain
 /// orthogonal injection points, so every algorithm composes with every
-/// scorer/predictor pair and with the migration machinery.
+/// scorer/predictor pair and with the migration machinery. krevat, easy and
+/// easy-holdback are one FCFS-backfill loop (algo_krevat.cpp) that differs
+/// only in what it records and whether the holdback floor applies.
 enum class SchedAlgorithm {
   kKrevat,        ///< The paper's engine: FCFS + spatial backfill behind a
                   ///  blocked head, parameterised by BackfillMode. Default;
                   ///  byte-identical to the pre-seam scheduler.
-  kEasy,          ///< EASY backfilling: the blocked head job holds one
-                  ///  explicit reservation (time + partition), recorded in
-                  ///  the decision trail; fillers must finish before it or
-                  ///  avoid the reserved partition.
+  kEasy,          ///< The krevat loop under BackfillMode::kEasy, with the
+                  ///  head's reservation (time + partition) recorded in the
+                  ///  decision trail and stamped on every backfill start.
   kConservative,  ///< Conservative backfilling: every examined waiting job
                   ///  holds a reservation in a queue-order profile; a filler
                   ///  is admitted only if it delays none of them.
-  kEasyHoldback,  ///< EASY plus a free-node floor: fillers may not shrink
-                  ///  the free pool below SchedulerConfig::holdback_nodes,
-                  ///  keeping room for imminent arrivals.
+  kEasyHoldback,  ///< easy plus a free-node floor: fillers may not shrink
+                  ///  the free pool below kHoldbackNodes, keeping room for
+                  ///  imminent arrivals.
 };
 
 const char* to_string(SchedAlgorithm algorithm);
 std::optional<SchedAlgorithm> parse_sched_algorithm(std::string_view name);
 
+/// Reservations krevat computes per pass under BackfillMode::kConservative
+/// (the conservative *algorithm* reserves for every job it examines, capped
+/// by backfill_depth).
+inline constexpr int kReservationDepth = 8;
+/// easy-holdback: free nodes a filler must leave behind. A filler of alloc
+/// size a is admitted only if free_nodes - a >= kHoldbackNodes.
+inline constexpr int kHoldbackNodes = 8;
+
+/// Throws ConfigError unless the algorithm runs the backfill mode:
+/// BackfillMode::kConservative (--conservative-backfill) belongs to krevat
+/// alone; the other algorithms fix their own reservation discipline.
+void require_supported_backfill(SchedAlgorithm algorithm, BackfillMode backfill);
+
 struct SchedulerConfig {
   /// Queue/reservation discipline of the pass (see SchedAlgorithm).
   SchedAlgorithm algorithm = SchedAlgorithm::kKrevat;
+  /// kNone or kEasy under every algorithm; kConservative under krevat only.
   BackfillMode backfill = BackfillMode::kEasy;
   bool migration = true;
-  /// Max queued jobs examined per backfill pass (the head job excluded);
-  /// under kConservative also the number of jobs holding reservations.
+  /// Max queued jobs examined per backfill pass (the head job excluded).
   int backfill_depth = 64;
-  /// Reservations computed per pass under kConservative (krevat only; the
-  /// conservative *algorithm* reserves for every job it examines, capped by
-  /// backfill_depth).
-  int reservation_depth = 8;
-  /// kEasyHoldback: free nodes a filler must leave behind. A filler of
-  /// alloc size a is admitted only if free_nodes - a >= holdback_nodes.
-  int holdback_nodes = 8;
   PartitionFailureRule pf_rule = PartitionFailureRule::kProduct;
 };
 

@@ -56,8 +56,6 @@ struct ServiceConfig {
   /// Prediction quality knob: confidence a for the balancing scheduler,
   /// accuracy a for the tie-breaking scheduler. Ignored by Krevat.
   double alpha = 0.0;
-  /// Optional false positives for the tie-breaking predictor (paper: 0).
-  double tiebreak_false_positive_rate = 0.0;
   /// The oracle models need a failure trace; kAdaptive learns from the
   /// fail/repair events instead.
   PredictorModel predictor_model = PredictorModel::kNone;

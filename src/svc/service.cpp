@@ -74,7 +74,6 @@ void SchedulerService::build_scheduler(const FailureTrace* oracle) {
   spec.model = config_.predictor_model;
   spec.paper_role = paper_role_for(config_.scheduler);
   spec.alpha = config_.alpha;
-  spec.tiebreak_false_positive_rate = config_.tiebreak_false_positive_rate;
   spec.history_lookback = config_.history_lookback;
   spec.seed = config_.seed;
   spec.adaptive = config_.adaptive;

@@ -42,8 +42,7 @@ TEST(CliOptions, DefaultsAndFullParse) {
                            "0.25", "--no-migration", "--ckpt-interval",
                            "3600", "--downtime", "14400", "--seed", "7",
                            "--trace-out", "t.jsonl", "--stats-out", "s.json",
-                           "--snapshot-interval", "60",
-                           "--conservative-backfill"});
+                           "--snapshot-interval", "60", "--no-backfill"});
   EXPECT_EQ(o.workload, "nasa");
   EXPECT_EQ(o.jobs, 500);
   EXPECT_DOUBLE_EQ(o.load, 1.2);
@@ -59,7 +58,22 @@ TEST(CliOptions, DefaultsAndFullParse) {
   EXPECT_EQ(o.trace_out.value(), "t.jsonl");
   EXPECT_EQ(o.stats_out.value(), "s.json");
   EXPECT_DOUBLE_EQ(o.snapshot_interval, 60.0);
-  EXPECT_EQ(o.backfill, bgl::BackfillMode::kConservative);
+  EXPECT_EQ(o.backfill, bgl::BackfillMode::kNone);
+  EXPECT_EQ(parse({"--conservative-backfill"}).backfill,
+            bgl::BackfillMode::kConservative);
+}
+
+TEST(CliOptions, ConservativeBackfillNeedsTheKrevatAlgorithm) {
+  for (const char* algorithm : {"easy", "easy-holdback", "conservative"}) {
+    const std::string e =
+        error_of({"--algorithm", algorithm, "--conservative-backfill"});
+    EXPECT_NE(e.find("--conservative-backfill"), std::string::npos) << e;
+    EXPECT_NE(e.find("--algorithm " + std::string(algorithm)),
+              std::string::npos)
+        << e;
+  }
+  EXPECT_EQ(parse({"--algorithm", "krevat", "--conservative-backfill"}).backfill,
+            bgl::BackfillMode::kConservative);
 }
 
 TEST(CliOptions, MalformedNumbersAreHardErrorsNamingTheFlag) {

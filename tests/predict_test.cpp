@@ -93,23 +93,9 @@ TEST(TieBreakPredictor, FalseNegativeRateMatchesAccuracy) {
   EXPECT_NEAR(rate, 0.7, 0.06);
 }
 
-TEST(TieBreakPredictor, FalsePositivesWhenEnabled) {
-  const FailureTrace trace = simple_trace();
-  TieBreakPredictor p(trace, 1.0, /*false_positive_rate=*/0.5);
-  std::size_t false_positives = 0;
-  for (std::uint64_t key = 0; key < 100; ++key) {
-    const NodeSet truth = trace.failing_nodes(0.0, 1000.0);
-    NodeSet flagged = p.flagged_nodes(0.0, 1000.0, key);
-    flagged.subtract(truth);
-    false_positives += static_cast<std::size_t>(flagged.count());
-  }
-  EXPECT_GT(false_positives, 100u);  // 13 healthy nodes * 100 keys * ~0.5
-}
-
 TEST(TieBreakPredictor, ParametersValidated) {
   const FailureTrace trace = simple_trace();
   EXPECT_THROW(TieBreakPredictor(trace, 1.5), ContractViolation);
-  EXPECT_THROW(TieBreakPredictor(trace, 0.5, -0.2), ContractViolation);
 }
 
 TEST(PerfectPredictor, MatchesGroundTruth) {

@@ -20,6 +20,8 @@
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/driver.hpp"
+#include "svc/service.hpp"
+#include "util/error.hpp"
 
 namespace bgl {
 namespace {
@@ -64,6 +66,27 @@ TEST(SchedAlgorithmRegistry, SchedulerExposesConfiguredAlgorithm) {
   EXPECT_EQ(sched.algorithm_name(), "conservative");
 }
 
+TEST(SchedAlgorithmRegistry, ConservativeBackfillModeIsKrevatOnly) {
+  NullPredictor predictor(128);
+  SchedulerConfig config;
+  config.backfill = BackfillMode::kConservative;
+  for (const SchedAlgorithm a :
+       {SchedAlgorithm::kEasy, SchedAlgorithm::kConservative,
+        SchedAlgorithm::kEasyHoldback}) {
+    config.algorithm = a;
+    EXPECT_THROW(Scheduler(catalog(), std::make_unique<MfpLossPolicy>(),
+                           predictor, config),
+                 ConfigError)
+        << to_string(a);
+    svc::ServiceConfig service;
+    service.sched = config;
+    EXPECT_THROW(svc::SchedulerService{service}, ConfigError) << to_string(a);
+  }
+  config.algorithm = SchedAlgorithm::kKrevat;
+  EXPECT_NO_THROW(Scheduler(catalog(), std::make_unique<MfpLossPolicy>(),
+                            predictor, config));
+}
+
 // --- scenario harness ----------------------------------------------------
 
 struct Scenario {
@@ -101,6 +124,22 @@ Scenario make_scenario(std::mt19937_64& rng) {
         std::uniform_real_distribution<double>(50.0, 5e3)(rng)});
   }
   return sc;
+}
+
+/// Start 8-node jobs on `sc` until at most `target_free` nodes are free (or
+/// no 8-node partition is left).
+void crowd(Scenario& sc, int target_free, std::mt19937_64& rng) {
+  std::vector<int> free;
+  std::uint64_t id = 1000;
+  while (128 - sc.occupied.count() > target_free) {
+    free.clear();
+    catalog().free_entries_of_size(sc.occupied, 8, free);
+    if (free.empty()) break;
+    sc.occupied |= catalog().entry(free.front()).mask;
+    sc.running.push_back(RunningJob{
+        id++, free.front(),
+        sc.now + std::uniform_real_distribution<double>(10.0, 5e3)(rng)});
+  }
 }
 
 struct TracedRun {
@@ -155,6 +194,74 @@ void expect_reservation_feasible(const ReservationRecord& r,
                                reserved))
         << label << ": job " << j.id << " (est_finish " << j.est_finish
         << ") squats on the partition reserved until " << r.time;
+  }
+}
+
+// --- the shared FCFS prefix ----------------------------------------------
+
+TEST(FcfsPrefix, StartsAQueuePrefixAndStopsAtTheBlockedHead) {
+  std::mt19937_64 rng(5);
+  int blocked = 0;
+  int drained = 0;
+  for (int i = 0; i < 80; ++i) {
+    const Scenario sc = make_scenario(rng);
+    MfpLossPolicy policy;
+    NullPredictor predictor(128);
+    SchedulerConfig config;
+    config.migration = false;
+    const obs::Observer observer;
+    SchedulerPassScratch scratch;
+    scratch.live = sc.running;
+    FreePartitionIndex index(catalog());
+    index.occupy(sc.occupied);
+    SchedulingDecision decision;
+    SchedulingPass pass(catalog(), policy, predictor, config, observer, sc.now,
+                        sc.queue, scratch, index, decision);
+
+    const std::size_t head = pass.fcfs_prefix();
+    ASSERT_LE(head, sc.queue.size()) << i;
+    ASSERT_EQ(decision.starts.size(), head) << i;
+    for (std::size_t q = 0; q < head; ++q) {
+      EXPECT_EQ(decision.starts[q].id, sc.queue[q].id) << i;
+      EXPECT_TRUE(pass.placed(q)) << i;
+    }
+    if (head == sc.queue.size()) {
+      ++drained;
+      continue;
+    }
+    ++blocked;
+    EXPECT_FALSE(pass.placed(head)) << i;
+    std::vector<int> free;
+    index.free_entries_of_size(sc.queue[head].alloc_size, free);
+    EXPECT_TRUE(free.empty()) << i << ": the head it stopped at fits";
+  }
+  EXPECT_GT(blocked, 20);
+  EXPECT_GT(drained, 0);
+}
+
+TEST(FcfsPrefix, EveryAlgorithmStartsTheSameJobsWithoutFillers) {
+  // With backfilling off, a pass is its FCFS prefix alone (conservative
+  // still reserves for the blocked head, which starts nothing).
+  std::mt19937_64 rng(23);
+  for (int i = 0; i < 80; ++i) {
+    const Scenario sc = make_scenario(rng);
+    SchedulerConfig config;
+    config.backfill = BackfillMode::kNone;
+    config.migration = false;
+    const TracedRun krevat = run_pass(sc, config);
+    for (const SchedAlgorithm a :
+         {SchedAlgorithm::kEasy, SchedAlgorithm::kConservative,
+          SchedAlgorithm::kEasyHoldback}) {
+      config.algorithm = a;
+      const TracedRun other = run_pass(sc, config);
+      ASSERT_EQ(other.decision.starts.size(), krevat.decision.starts.size())
+          << i << " " << to_string(a);
+      for (std::size_t s = 0; s < krevat.decision.starts.size(); ++s) {
+        EXPECT_EQ(other.decision.starts[s].id, krevat.decision.starts[s].id);
+        EXPECT_EQ(other.decision.starts[s].entry_index,
+                  krevat.decision.starts[s].entry_index);
+      }
+    }
   }
 }
 
@@ -310,17 +417,24 @@ TEST(EasyHoldbackAlgorithm, FreePoolNeverDipsBelowFloor) {
   std::mt19937_64 rng(19);
   int refusals = 0;
   for (int i = 0; i < 120; ++i) {
-    const Scenario sc = make_scenario(rng);
+    // The floor is only kHoldbackNodes wide, so it binds when EASY would
+    // take the last few free nodes: crowd the machine down to 8..40 free
+    // nodes and queue fillers of 1..8 nodes behind the head.
+    Scenario sc = make_scenario(rng);
+    crowd(sc, std::uniform_int_distribution<int>(8, 40)(rng), rng);
+    for (std::size_t j = 1; j < sc.queue.size(); ++j) {
+      const int size = 1 << std::uniform_int_distribution<int>(0, 3)(rng);
+      sc.queue[j].size = sc.queue[j].alloc_size = size;
+    }
     SchedulerConfig config;
     config.backfill_depth = 8;
     config.migration = false;
 
     config.algorithm = SchedAlgorithm::kEasyHoldback;
-    config.holdback_nodes = 32;
     const TracedRun hold = run_pass(sc, config);
 
     // Replay the starts in commit order: every backfill start must leave at
-    // least holdback_nodes free.
+    // least kHoldbackNodes free.
     NodeSet occ = sc.occupied;
     for (const Start& s : hold.decision.starts) {
       const auto rec = std::find_if(
@@ -329,7 +443,7 @@ TEST(EasyHoldbackAlgorithm, FreePoolNeverDipsBelowFloor) {
       ASSERT_NE(rec, hold.decision.placements.end());
       occ |= catalog().entry(s.entry_index).mask;
       if (rec->backfill) {
-        EXPECT_GE(128 - occ.count(), config.holdback_nodes)
+        EXPECT_GE(128 - occ.count(), kHoldbackNodes)
             << i << ": backfilling job " << s.id << " broke the floor";
       }
     }

@@ -219,7 +219,6 @@ std::pair<int, int> warm_matches_fresh(const PartitionCatalog& cat,
       config.algorithm = algorithm;
       config.migration = true;
       config.backfill_depth = 16;
-      config.reservation_depth = 4;
 
       std::ostringstream sink_out;
       obs::TraceSink sink(sink_out);

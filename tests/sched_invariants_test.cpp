@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "failure/generator.hpp"
 #include "sched/scheduler.hpp"
@@ -64,6 +65,16 @@ struct InvariantCase {
   bool migration;
   std::uint64_t seed;
 };
+
+// gtest shows a struct parameter as its bytes, padding included, and the
+// padding is uninitialised: the suite's name generator and this printer
+// keep the test names (which gtest_discover_tests builds from both) stable
+// from build to build.
+void PrintTo(const InvariantCase& c, std::ostream* os) {
+  *os << '{' << to_string(c.kind) << ", alpha " << c.alpha << ", "
+      << to_string(c.backfill) << (c.migration ? ", migration" : "")
+      << ", seed " << c.seed << '}';
+}
 
 class SchedulerInvariants : public ::testing::TestWithParam<InvariantCase> {};
 
@@ -200,7 +211,15 @@ INSTANTIATE_TEST_SUITE_P(
         InvariantCase{SchedulerKind::kBalancing, 0.5, BackfillMode::kNone, false, 7},
         InvariantCase{SchedulerKind::kTieBreak, 0.1, BackfillMode::kEasy, true, 8},
         InvariantCase{SchedulerKind::kTieBreak, 0.9, BackfillMode::kConservative, false, 9},
-        InvariantCase{SchedulerKind::kTieBreak, 0.5, BackfillMode::kNone, true, 10}));
+        InvariantCase{SchedulerKind::kTieBreak, 0.5, BackfillMode::kNone, true, 10}),
+    [](const ::testing::TestParamInfo<InvariantCase>& info) {
+      const InvariantCase& c = info.param;
+      std::string kind = to_string(c.kind);
+      std::erase(kind, '-');  // gtest names are [A-Za-z0-9_]
+      return kind + "_" + to_string(c.backfill) +
+             (c.migration ? "_migration" : "_nomigration") + "_seed" +
+             std::to_string(c.seed);
+    });
 
 }  // namespace
 }  // namespace bgl

@@ -226,9 +226,7 @@ SchedulingDecision reference_schedule(const PartitionCatalog& cat,
       std::vector<Reservation>& reservations = s.reservations;
       reservations.clear();
       const int reservation_count =
-          config.backfill == BackfillMode::kEasy
-              ? 1
-              : std::max(1, config.reservation_depth);
+          config.backfill == BackfillMode::kEasy ? 1 : kReservationDepth;
       for (std::size_t q = head;
            q < queue.size() &&
            static_cast<int>(reservations.size()) < reservation_count;
@@ -439,7 +437,6 @@ TEST(SeamReference, DefaultAlgorithmMatchesFrozenLoopAcrossConfigGrid) {
           config.backfill = backfill;
           config.migration = migration;
           config.backfill_depth = 8;
-          config.reservation_depth = 3;
 
           std::ostringstream ref_trace, eng_trace;
           obs::TraceSink ref_sink(ref_trace), eng_sink(eng_trace);

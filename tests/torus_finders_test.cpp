@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "torus/catalog.hpp"
@@ -84,6 +85,15 @@ struct FinderCase {
   std::uint64_t seed;
 };
 
+// gtest shows a struct parameter as its bytes, padding included, and the
+// padding is uninitialised: the suite's name generator and this printer
+// keep the test names (which gtest_discover_tests builds from both) stable
+// from build to build.
+void PrintTo(const FinderCase& c, std::ostream* os) {
+  *os << '{' << c.mx << 'x' << c.my << 'x' << c.mz << ", density "
+      << c.density << ", size " << c.size << ", seed " << c.seed << '}';
+}
+
 class FinderAgreement : public ::testing::TestWithParam<FinderCase> {};
 
 TEST_P(FinderAgreement, AllThreeFindersAndCatalogAgree) {
@@ -119,7 +129,13 @@ INSTANTIATE_TEST_SUITE_P(
         FinderCase{5, 5, 5, 0.3, 25, 15}, FinderCase{5, 5, 5, 0.5, 10, 16},
         FinderCase{6, 6, 6, 0.4, 36, 17}, FinderCase{6, 6, 6, 0.2, 12, 18},
         FinderCase{1, 1, 8, 0.3, 4, 19}, FinderCase{4, 1, 1, 0.5, 2, 20},
-        FinderCase{2, 3, 5, 0.3, 6, 21}, FinderCase{2, 3, 5, 0.5, 5, 22}));
+        FinderCase{2, 3, 5, 0.3, 6, 21}, FinderCase{2, 3, 5, 0.5, 5, 22}),
+    [](const ::testing::TestParamInfo<FinderCase>& info) {
+      const FinderCase& c = info.param;
+      return std::to_string(c.mx) + "x" + std::to_string(c.my) + "x" +
+             std::to_string(c.mz) + "_size" + std::to_string(c.size) +
+             "_seed" + std::to_string(c.seed);
+    });
 
 TEST(Finders, PrimeOversizedShapeYieldsNothing) {
   const Dims dims{4, 4, 8};

@@ -3,6 +3,8 @@
 // occupancies, for torus and mesh topologies and several machine sizes.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "torus/catalog.hpp"
 #include "util/rng.hpp"
 
@@ -53,6 +55,15 @@ struct MfpCase {
   std::uint64_t seed;
 };
 
+// gtest shows a struct parameter as its bytes, padding included, and the
+// padding is uninitialised: the suite's name generator and this printer
+// keep the test names (which gtest_discover_tests builds from both) stable
+// from build to build.
+void PrintTo(const MfpCase& c, std::ostream* os) {
+  *os << '{' << to_string(c.dims) << ' ' << to_string(c.topology)
+      << ", density " << c.density << ", seed " << c.seed << '}';
+}
+
 class MfpOracle : public ::testing::TestWithParam<MfpCase> {};
 
 TEST_P(MfpOracle, CatalogMatchesBruteForce) {
@@ -80,7 +91,12 @@ INSTANTIATE_TEST_SUITE_P(
                       MfpCase{Dims{3, 3, 3}, Topology::kMesh, 0.3, 7},
                       MfpCase{Dims{2, 3, 5}, Topology::kTorus, 0.5, 8},
                       MfpCase{Dims{2, 3, 5}, Topology::kMesh, 0.5, 9},
-                      MfpCase{Dims{1, 1, 8}, Topology::kTorus, 0.4, 10}));
+                      MfpCase{Dims{1, 1, 8}, Topology::kTorus, 0.4, 10}),
+    [](const ::testing::TestParamInfo<MfpCase>& info) {
+      const MfpCase& c = info.param;
+      return to_string(c.dims) + "_" + to_string(c.topology) + "_seed" +
+             std::to_string(c.seed);
+    });
 
 TEST(MfpOracle, EmptyAndFullMachines) {
   for (const Topology topology : {Topology::kTorus, Topology::kMesh}) {

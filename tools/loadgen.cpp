@@ -25,6 +25,7 @@
 //   --scheduler <krevat|balancing|tiebreak>  --algorithm <...>  --alpha A
 //   --queue-order <fcfs|sjf|smallest>
 //   --no-backfill --conservative-backfill --no-migration
+//   (--conservative-backfill needs --algorithm krevat; other pairings exit 2)
 //   --server PATH   sched_server binary for --mode drive
 //   --json-out PATH write the drive/inproc measurement as JSON
 #include <sys/wait.h>
@@ -127,6 +128,11 @@ Options parse(int argc, char** argv) {
     } else {
       throw ConfigError("unknown option: " + arg);
     }
+  }
+  // An unknown --algorithm is reported when the config is built; a known
+  // one must run the chosen backfill mode.
+  if (const auto algorithm = parse_sched_algorithm(o.algorithm)) {
+    require_supported_backfill(*algorithm, o.backfill);
   }
   return o;
 }

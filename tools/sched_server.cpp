@@ -15,6 +15,8 @@
 //     --algorithm <krevat|easy|conservative|easy-holdback>
 //     --alpha A           predictor confidence/accuracy in [0,1]
 //     --no-backfill --conservative-backfill --no-migration
+//     (--conservative-backfill needs --algorithm krevat; other pairings
+//     exit 2)
 //     --queue-order <fcfs|sjf|smallest>
 //     --predictor <none|paper|history|perfect|adaptive>  (default none;
 //                         the oracle models need --failure-csv; adaptive
@@ -194,6 +196,7 @@ Options parse(int argc, char** argv) {
         "--snapshot-interval/--metrics-interval write trace events and "
         "need --trace-out");
   }
+  require_supported_backfill(o.service.sched.algorithm, o.service.sched.backfill);
   return o;
 }
 
